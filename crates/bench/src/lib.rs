@@ -11,7 +11,7 @@
 pub mod timing;
 
 use eco_benchgen::UnitSpec;
-use eco_core::{EcoEngine, EcoOptions, EcoProblem, RunMetrics, SatPruneOptions, SupportMethod};
+use eco_core::{EcoEngine, EcoOptions, EcoProblem, RunMetrics, SupportMethod};
 use std::time::Duration;
 
 /// One Table 1 cell group for one method: resource cost, patch size,
@@ -92,10 +92,6 @@ pub fn options_configured_classes(
         .method(method)
         .cegar_min(method == SupportMethod::SatPrune)
         .per_call_conflicts(per_call_conflicts)
-        .sat_prune(SatPruneOptions {
-            max_iterations: 400,
-            per_call_conflicts: per_call_conflicts.map(|c| (c / 4).max(1)),
-        })
         .jobs(jobs)
         .build()
         .expect("bench options are valid")

@@ -9,7 +9,7 @@ use crate::classes::EquivClasses;
 use crate::cnf::CnfEncoder;
 use crate::cubes::enumerate_patch_sop_observed;
 use crate::error::EcoError;
-use crate::exact::{sat_prune_support, SatPruneOptions};
+use crate::exact::{sat_prune_support, PruneReport, SatPruneOptions};
 use crate::miter::{EcoMiter, QuantifiedMiter};
 use crate::observe::{
     ClassesCounters, EcoEvent, EcoObserver, LadderRung, MetricsObserver, ObserverHandle, Phase,
@@ -427,6 +427,9 @@ pub struct TargetPatchReport {
     pub cubes: Option<usize>,
     /// SAT calls spent on this target.
     pub sat_calls: u64,
+    /// How the `SAT_prune` search ended (`None` unless the patch came
+    /// from a [`SupportMethod::SatPrune`] support).
+    pub prune: Option<PruneReport>,
 }
 
 /// One applied patch, for downstream consumers (e.g. netlist-level
@@ -895,6 +898,7 @@ impl EcoEngine {
                                 gates: 0,
                                 cubes: None,
                                 sat_calls: spent,
+                                prune: None,
                             });
                             drop_positions.insert(pos);
                         }
@@ -1014,6 +1018,7 @@ impl EcoEngine {
                             target_index: original_index,
                             worker: 0,
                             sat_calls: report.sat_calls,
+                            prune: report.prune,
                             elapsed: target_t.elapsed(),
                         });
                         // Record the applied patch before metadata
@@ -1053,11 +1058,13 @@ impl EcoEngine {
                             gates: 0,
                             cubes: None,
                             sat_calls: spent,
+                            prune: None,
                         });
                         obs.emit(|| EcoEvent::TargetFinished {
                             target_index: original_index,
                             worker: 0,
                             sat_calls: spent,
+                            prune: None,
                             elapsed: target_t.elapsed(),
                         });
                         let mut drop_head = HashSet::new();
@@ -1566,13 +1573,17 @@ impl EcoEngine {
                 });
                 continue;
             }
+            let mut prune = None;
             let computed = match opts.method {
                 SupportMethod::AnalyzeFinal => ss.analyze_final_support(),
                 SupportMethod::MinimizeAssumptions => ss.minimized_support(opts.last_gasp_tries),
                 SupportMethod::SatPrune => ss
                     .minimized_support(opts.last_gasp_tries)
                     .and_then(|seed| sat_prune_support(&mut ss, Some(seed), opts.sat_prune))
-                    .map(|r| r.support),
+                    .map(|r| {
+                        prune = Some(r.prune);
+                        r.support
+                    }),
             };
             let support: SupportResult = match computed {
                 Ok(s) => s,
@@ -1627,6 +1638,7 @@ impl EcoEngine {
                 gates,
                 cubes: Some(sop.sop.len()),
                 sat_calls: *spent,
+                prune,
             };
             return Ok((patch, report));
         }
@@ -1778,6 +1790,7 @@ impl EcoEngine {
                 gates,
                 cubes: None,
                 sat_calls: spent + cm.sat_calls,
+                prune: None,
             };
             Ok((
                 NodePatch {
@@ -1799,6 +1812,7 @@ impl EcoEngine {
                 gates,
                 cubes: None,
                 sat_calls: spent,
+                prune: None,
             };
             Ok((
                 NodePatch {
@@ -2122,14 +2136,15 @@ impl EcoEngine {
             }
         }
         if let Ok(verdict) = &ladder {
-            let sat_calls = match verdict {
-                Ok((_, report)) => report.sat_calls,
-                Err(_) => spent,
+            let (sat_calls, prune) = match verdict {
+                Ok((_, report)) => (report.sat_calls, report.prune),
+                Err(_) => (spent, None),
             };
             obs.emit(|| EcoEvent::TargetFinished {
                 target_index: original_index,
                 worker,
                 sat_calls,
+                prune,
                 elapsed: target_t.elapsed(),
             });
         }
@@ -2460,6 +2475,7 @@ fn commit_patches(
                     gates: 0,
                     cubes: None,
                     sat_calls: 0,
+                    prune: None,
                 });
             }
         }

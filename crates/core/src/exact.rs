@@ -5,7 +5,7 @@
 
 use crate::error::EcoError;
 use crate::observe::SatCallKind;
-use crate::support::{SupportResult, SupportSolver};
+use crate::support::{SubsetExplanation, SupportResult, SupportSolver};
 use eco_sat::{Lit, PbSum, SolveResult, Solver};
 
 /// Configuration for [`sat_prune_support`].
@@ -13,15 +13,12 @@ use eco_sat::{Lit, PbSum, SolveResult, Solver};
 pub struct SatPruneOptions {
     /// Cap on candidate subsets examined before giving up on exactness.
     pub max_iterations: usize,
-    /// Conflict budget per feasibility query (`None` = unlimited).
-    pub per_call_conflicts: Option<u64>,
 }
 
 impl Default for SatPruneOptions {
     fn default() -> SatPruneOptions {
         SatPruneOptions {
             max_iterations: 2_000,
-            per_call_conflicts: Some(200_000),
         }
     }
 }
@@ -31,11 +28,20 @@ impl Default for SatPruneOptions {
 pub struct SatPruneResult {
     /// The best support found.
     pub support: SupportResult,
+    /// How the search ended.
+    pub prune: PruneReport,
+}
+
+/// How one `SAT_prune` search ended, carried per target by
+/// [`crate::TargetPatchReport::prune`] and the run metrics so a proven
+/// minimum is distinguishable from an iteration-capped one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PruneReport {
+    /// Candidate subsets examined (one search-solver call each).
+    pub iterations: usize,
     /// `true` when the search space was exhausted, proving the result
     /// cost-minimum (guaranteed for a single target, per the paper).
     pub exact: bool,
-    /// Candidate subsets examined.
-    pub iterations: usize,
 }
 
 /// Runs the `SAT_prune` search on a prepared [`SupportSolver`].
@@ -44,10 +50,23 @@ pub struct SatPruneResult {
 /// `minimize_assumptions`) used as the initial upper bound.
 ///
 /// The search solver holds one selection variable per divisor plus a
-/// binary adder network encoding `Σ cost·s`; each improvement installs
-/// a fresh `sum < best` bound under an activation literal, each
-/// infeasible subset `S` adds the blocking clause `∨_{d ∉ S} s_d`.
-/// Termination at UNSAT proves cost-minimality.
+/// binary adder network encoding `Σ cost·s`. Each candidate subset `S`
+/// is checked by [`SupportSolver::explain_subset`]:
+///
+/// - infeasible: a minimal correction set `D` (divisors whose two miter
+///   copies differ in some witness model, shrunk until no divisor can
+///   be dropped) yields the blocking clause `∨_{d ∈ D} s_d`. The paper
+///   blocks with `∨_{d ∉ S} s_d`; since `D ⊆ ∁S` the clause used here
+///   subsumes it, and it stays sound because every subset disjoint
+///   from `D` is refuted by that witness;
+/// - feasible: the final conflict's core `C ⊆ S` is adopted as the
+///   incumbent (it is feasible and no dearer than `S`), then a fresh
+///   `sum < cost(C)` bound is installed under an activation literal and
+///   the supersets of `C` are blocked.
+///
+/// Termination at UNSAT proves cost-minimality. Search-solver calls are
+/// attributed to the support solver's target and counted into its
+/// `sat_calls`.
 ///
 /// # Errors
 ///
@@ -61,6 +80,7 @@ pub fn sat_prune_support(
 ) -> Result<SatPruneResult, EcoError> {
     let costs = support_solver.costs().to_vec();
     let obs = support_solver.observer().clone();
+    let target_index = support_solver.target_index();
     let n = costs.len();
     let mut search = Solver::new();
     // The subset-search solver runs under the same governor (if any) as
@@ -99,7 +119,14 @@ pub fn sat_prune_support(
         let assumptions: Vec<Lit> = bound_act.into_iter().collect();
         let before = obs.snapshot(&mut search);
         let result = search.solve(&assumptions);
-        obs.sat_call(before, &search, SatCallKind::SatPruneSearch, None, result);
+        support_solver.sat_calls += 1;
+        obs.sat_call(
+            before,
+            &search,
+            SatCallKind::SatPruneSearch,
+            target_index,
+            result,
+        );
         match result {
             SolveResult::Unknown => break false,
             SolveResult::Unsat => break true,
@@ -107,62 +134,55 @@ pub fn sat_prune_support(
                 let subset: Vec<usize> = (0..n)
                     .filter(|&i| search.model_value(selection[i]).is_true())
                     .collect();
-                let feasible = match support_solver.subset_feasible(&subset) {
-                    Ok(f) => f,
+                let explanation = match support_solver.explain_subset(&subset) {
+                    Ok(x) => x,
                     Err(EcoError::SolverBudgetExhausted { .. }) if best.is_some() => {
                         break false;
                     }
                     Err(e) => return Err(e),
                 };
-                if feasible {
-                    let cost: u64 = subset.iter().map(|&i| costs[i]).sum();
-                    let better = best.as_ref().is_none_or(|b| cost < b.cost);
-                    if better {
-                        best = Some(SupportResult {
-                            divisor_indices: subset.clone(),
-                            cost,
-                            sat_calls: support_solver.sat_calls,
-                        });
+                match explanation {
+                    SubsetExplanation::Feasible(core) => {
+                        let cost: u64 = core.iter().map(|&i| costs[i]).sum();
+                        if best.as_ref().is_none_or(|b| cost < b.cost) {
+                            best = Some(SupportResult {
+                                divisor_indices: core.clone(),
+                                cost,
+                                sat_calls: support_solver.sat_calls,
+                            });
+                        }
+                        // Tighten: require strictly cheaper solutions. Also
+                        // exclude every superset of the core so the search
+                        // moves on even when the bound encoding is loose.
+                        let act = search.new_var().positive();
+                        sum.assert_less_under(&mut search, cost, act);
+                        bound_act = Some(act);
+                        let block: Vec<Lit> = core.iter().map(|&i| !selection[i]).collect();
+                        if block.is_empty() {
+                            // The empty support suffices: nothing is cheaper.
+                            break true;
+                        }
+                        search.add_clause(&block);
                     }
-                    // Tighten: require strictly cheaper solutions. Also
-                    // exclude this exact subset so the search moves on even
-                    // when the bound encoding is loose.
-                    let act = search.new_var().positive();
-                    sum.assert_less_under(&mut search, cost, act);
-                    bound_act = Some(act);
-                    let block: Vec<Lit> = (0..n)
-                        .map(|i| {
-                            if subset.contains(&i) {
-                                !selection[i]
-                            } else {
-                                selection[i]
-                            }
-                        })
-                        .collect();
-                    search.add_clause(&block);
-                } else {
-                    // Any subset of an infeasible set is infeasible: demand
-                    // at least one divisor outside it.
-                    let block: Vec<Lit> = (0..n)
-                        .filter(|i| !subset.contains(i))
-                        .map(|i| selection[i])
-                        .collect();
-                    if block.is_empty() {
-                        // The full set is infeasible: no support exists.
-                        break true;
+                    SubsetExplanation::Infeasible(correction) => {
+                        // Every subset missing all of the correction set is
+                        // refuted by its witness: demand one of them.
+                        let block: Vec<Lit> = correction.iter().map(|&i| selection[i]).collect();
+                        if block.is_empty() {
+                            // The full set is infeasible: no support exists.
+                            break true;
+                        }
+                        search.add_clause(&block);
                     }
-                    search.add_clause(&block);
                 }
             }
         }
     };
-    let support = best.ok_or(EcoError::budget_exhausted("SAT_prune"))?;
-    let mut support = support;
+    let mut support = best.ok_or(EcoError::budget_exhausted("SAT_prune"))?;
     support.sat_calls = support_solver.sat_calls;
     Ok(SatPruneResult {
         support,
-        exact,
-        iterations,
+        prune: PruneReport { iterations, exact },
     })
 }
 
@@ -206,10 +226,53 @@ mod tests {
     }
 
     #[test]
+    fn explanations_are_sound() {
+        let (p, divisors, costs) = xor_problem(1);
+        let qm = QuantifiedMiter::build(&p, 0, &[], None);
+        let mut ss = SupportSolver::new(&qm, divisors, costs, None);
+        let all: Vec<usize> = (0..3).collect();
+        let subsets: Vec<Vec<usize>> = (0u32..8)
+            .map(|m| all.iter().copied().filter(|&i| m >> i & 1 == 1).collect())
+            .collect();
+        for s in &subsets {
+            let feasible = ss.subset_feasible(s).expect("unbudgeted");
+            match ss.explain_subset(s).expect("unbudgeted") {
+                SubsetExplanation::Feasible(core) => {
+                    assert!(feasible, "{s:?}");
+                    assert!(core.iter().all(|i| s.contains(i)), "{s:?}: core {core:?}");
+                    assert!(ss.subset_feasible(&core).expect("unbudgeted"));
+                }
+                SubsetExplanation::Infeasible(correction) => {
+                    assert!(!feasible, "{s:?}");
+                    assert!(correction.iter().all(|i| !s.contains(i)));
+                    // Every subset missing the whole correction set is
+                    // infeasible too.
+                    for t in subsets
+                        .iter()
+                        .filter(|t| !t.iter().any(|i| correction.contains(i)))
+                    {
+                        assert!(!ss.subset_feasible(t).expect("unbudgeted"), "{t:?}");
+                    }
+                    // Minimal: adding any one of it to its complement
+                    // makes a feasible set.
+                    for &d in &correction {
+                        let grown: Vec<usize> = all
+                            .iter()
+                            .copied()
+                            .filter(|i| *i == d || !correction.contains(i))
+                            .collect();
+                        assert!(ss.subset_feasible(&grown).expect("unbudgeted"), "{grown:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn picks_cheap_single_divisor() {
         // xor divisor costs 1 < 3+3: the minimum support is {xor}.
         let r = run(1);
-        assert!(r.exact);
+        assert!(r.prune.exact);
         assert_eq!(r.support.divisor_indices, vec![2]);
         assert_eq!(r.support.cost, 1);
     }
@@ -218,7 +281,7 @@ mod tests {
     fn picks_input_pair_when_xor_is_expensive() {
         // xor divisor costs 100 > 3+3: minimum is {a, b}.
         let r = run(100);
-        assert!(r.exact);
+        assert!(r.prune.exact);
         assert_eq!(r.support.divisor_indices, vec![0, 1]);
         assert_eq!(r.support.cost, 6);
     }
@@ -235,7 +298,7 @@ mod tests {
             sat_calls: 0,
         };
         let r = sat_prune_support(&mut ss, Some(seed), SatPruneOptions::default()).expect("prune");
-        assert!(r.exact);
+        assert!(r.prune.exact);
         assert_eq!(r.support.cost, 1);
     }
 
@@ -259,16 +322,9 @@ mod tests {
             cost: 6,
             sat_calls: 0,
         };
-        let r = sat_prune_support(
-            &mut ss,
-            Some(seed),
-            SatPruneOptions {
-                max_iterations: 0,
-                per_call_conflicts: None,
-            },
-        )
-        .expect("prune returns seed");
-        assert!(!r.exact);
+        let r = sat_prune_support(&mut ss, Some(seed), SatPruneOptions { max_iterations: 0 })
+            .expect("prune returns seed");
+        assert!(!r.prune.exact);
         assert_eq!(r.support.cost, 6);
     }
 }

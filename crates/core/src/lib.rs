@@ -104,7 +104,7 @@ pub use engine::{
     TargetDisposition, TargetPatchReport,
 };
 pub use error::{BudgetExhausted, EcoError};
-pub use exact::{sat_prune_support, SatPruneOptions, SatPruneResult};
+pub use exact::{sat_prune_support, PruneReport, SatPruneOptions, SatPruneResult};
 pub use interp::{
     craig_interpolant, interpolation_patch, interpolation_patch_governed, InterpolantPatch,
 };

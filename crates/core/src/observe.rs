@@ -6,6 +6,7 @@
 //! engine pays nothing beyond a branch per event site when none are
 //! attached (event payloads are built lazily).
 
+use crate::exact::PruneReport;
 use eco_sat::{SolveResult, Solver, SolverStats, TripReason};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -209,6 +210,9 @@ pub enum EcoEvent {
         /// SAT calls attributed to the target (equals the
         /// [`crate::TargetPatchReport::sat_calls`] of its report).
         sat_calls: u64,
+        /// How the target's `SAT_prune` search ended (equals the
+        /// [`crate::TargetPatchReport::prune`] of its report).
+        prune: Option<PruneReport>,
         /// Wall-clock time spent on the target.
         elapsed: Duration,
     },
@@ -218,8 +222,7 @@ pub enum EcoEvent {
         kind: SatCallKind,
         /// `Some(i)` iff the call counts toward target `i`'s
         /// [`crate::TargetPatchReport::sat_calls`]; shared calls (QBF
-        /// sufficiency, `SAT_prune` subset search, final CEC) carry
-        /// `None`.
+        /// sufficiency, final CEC) carry `None`.
         target_index: Option<usize>,
         /// The verdict.
         result: SolveResult,
@@ -549,6 +552,9 @@ pub struct TargetMetrics {
     pub conflict_histogram: [u64; NUM_CONFLICT_BUCKETS],
     /// Per-call latency histogram ([`LATENCY_BUCKET_BOUNDS_US`]).
     pub latency_histogram: [u64; NUM_LATENCY_BUCKETS],
+    /// How the target's `SAT_prune` search ended (schema v9), per its
+    /// [`crate::TargetPatchReport::prune`].
+    pub prune: Option<PruneReport>,
 }
 
 /// Aggregated telemetry for one [`SatCallKind`].
@@ -832,6 +838,12 @@ fn push_json_array(out: &mut String, counts: &[u64]) {
     out.push(']');
 }
 
+/// The `{iterations, exact}` object a [`PruneReport`] serializes to,
+/// shared by the metrics JSON and the JSONL trace.
+pub(crate) fn prune_json(p: PruneReport) -> String {
+    format!("{{\"iterations\":{},\"exact\":{}}}", p.iterations, p.exact)
+}
+
 fn push_json_string(out: &mut String, text: &str) {
     out.push('"');
     out.push_str(&crate::json::escape_json(text));
@@ -840,10 +852,10 @@ fn push_json_string(out: &mut String, text: &str) {
 
 impl RunMetrics {
     /// Serializes to the stable JSON schema documented in
-    /// `EXPERIMENTS.md` (schema_version 8, which added the
-    /// test-equivalence-class counters and the `classes` SAT-call kind
-    /// on top of v7's sweep counters). Key order is fixed; durations
-    /// are integer microseconds; fractions carry six decimal places.
+    /// `EXPERIMENTS.md` (schema_version 9, which added the per-target
+    /// `prune` block on top of v8's test-equivalence-class counters).
+    /// Key order is fixed; durations are integer microseconds;
+    /// fractions carry six decimal places.
     pub fn to_json(&self) -> String {
         let us = |d: Duration| -> u64 { d.as_micros().min(u64::MAX as u128) as u64 };
         let opt_u64 = |v: Option<u64>| match v {
@@ -851,7 +863,7 @@ impl RunMetrics {
             None => "null".to_string(),
         };
         let mut s = String::new();
-        s.push_str("{\"schema_version\":8");
+        s.push_str("{\"schema_version\":9");
         match &self.request_id {
             Some(id) => {
                 s.push_str(",\"request_id\":");
@@ -893,6 +905,11 @@ impl RunMetrics {
             push_json_array(&mut s, &t.conflict_histogram);
             s.push_str(",\"latency_histogram\":");
             push_json_array(&mut s, &t.latency_histogram);
+            s.push_str(",\"prune\":");
+            match t.prune {
+                Some(p) => s.push_str(&prune_json(p)),
+                None => s.push_str("null"),
+            }
             s.push('}');
         }
         s.push_str("],\"workers\":[");
@@ -1105,11 +1122,13 @@ impl EcoObserver for MetricsObserver {
             EcoEvent::TargetFinished {
                 target_index,
                 sat_calls,
+                prune,
                 elapsed,
                 ..
             } => {
                 let entry = self.target_entry(target_index);
                 entry.sat_calls = sat_calls;
+                entry.prune = prune;
                 entry.elapsed = elapsed;
             }
             EcoEvent::SatCall {
@@ -1322,6 +1341,7 @@ mod tests {
             target_index: 0,
             worker: 1,
             sat_calls: 1,
+            prune: None,
             elapsed: Duration::from_micros(5),
         });
         m.on_event(&EcoEvent::RunFinished {
@@ -1374,7 +1394,7 @@ mod tests {
             ..RunMetrics::default()
         };
         let json = m.to_json();
-        assert!(json.starts_with("{\"schema_version\":8"));
+        assert!(json.starts_with("{\"schema_version\":9"));
         assert!(json.contains("\"request_id\":null"));
         assert!(json.contains("\"cache\":{\"netlist_hits\":0"));
         assert!(

@@ -10,7 +10,7 @@ use crate::observe::{ClassesCounters, EcoEvent, ObserverHandle, SatCallKind, Sup
 use crate::problem::EcoProblem;
 use crate::sweep::{OracleStats, SweepOracle};
 use eco_aig::NodeId;
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{LBool, Lit, ResourceGovernor, SolveResult, Solver};
 
 /// Divide-and-conquer minimization of an assumption set (Algorithm 1 of
 /// the paper, closely related to LEXUNSAT).
@@ -212,6 +212,9 @@ pub struct SupportSolver {
     base: Vec<Lit>,
     /// Activation literal per divisor (parallel to `divisors`).
     aux: Vec<Lit>,
+    /// The divisor's literal in miter copy 1 and copy 2 (parallel to
+    /// `divisors`), for reading correction sets off a model.
+    copies: Vec<(Lit, Lit)>,
     /// The candidate divisors, in the order given at construction.
     divisors: Vec<NodeId>,
     costs: Vec<u64>,
@@ -234,6 +237,16 @@ pub struct SupportSolver {
     /// subset queries, fed additionally by the minimization
     /// recursion's real calls (attached under `--classes`).
     classes: Option<EquivClasses>,
+}
+
+/// The answer of [`SupportSolver::explain_subset`]: the verdict plus
+/// the divisor indices that explain it.
+#[derive(Debug)]
+pub(crate) enum SubsetExplanation {
+    /// The subset suffices; carries a feasible core of it.
+    Feasible(Vec<usize>),
+    /// The subset does not suffice; carries a minimal correction set.
+    Infeasible(Vec<usize>),
 }
 
 /// A computed patch support: divisor positions plus their summed cost.
@@ -280,6 +293,7 @@ impl SupportSolver {
             .map(|&l| enc2.lit(&qm.aig, &mut solver, l))
             .collect();
         let mut aux = Vec::with_capacity(divisors.len());
+        let mut copies = Vec::with_capacity(divisors.len());
         for &d in &divisors {
             let lit = qm.impl_map[d.index()];
             let d1 = enc1.lit(&qm.aig, &mut solver, lit);
@@ -289,11 +303,13 @@ impl SupportSolver {
             solver.add_clause(&[!a, !d1, d2]);
             solver.add_clause(&[!a, d1, !d2]);
             aux.push(a);
+            copies.push((d1, d2));
         }
         SupportSolver {
             solver,
             base,
             aux,
+            copies,
             divisors,
             costs,
             per_call_conflicts,
@@ -355,6 +371,11 @@ impl SupportSolver {
     /// The attached event sink (inactive by default).
     pub(crate) fn observer(&self) -> &ObserverHandle {
         &self.obs
+    }
+
+    /// The target index this instance's SAT calls are attributed to.
+    pub(crate) fn target_index(&self) -> Option<usize> {
+        self.target_index
     }
 
     /// Attaches a resource governor; every subsequent SAT call checks
@@ -449,6 +470,104 @@ impl SupportSolver {
         self.learn_from_model(feasible);
         self.learn_into_classes(indices, feasible);
         Ok(feasible)
+    }
+
+    /// Feasibility of a divisor subset, explained so a subset search can
+    /// prune more than the queried subset:
+    ///
+    /// - [`SubsetExplanation::Feasible`] carries the queried divisors
+    ///   whose activations appear in the final conflict. That core is
+    ///   itself feasible and costs no more than the query.
+    /// - [`SubsetExplanation::Infeasible`] carries a minimal correction
+    ///   set (see [`SupportSolver::minimal_correction_set`]). It is
+    ///   disjoint from the query, and every subset disjoint from it is
+    ///   infeasible.
+    ///
+    /// Always issues a real SAT call, bypassing the oracles, for the
+    /// same reason as [`SupportSolver::all_feasible`]: the explanation
+    /// is read off the call's model or final conflict.
+    ///
+    /// # Errors
+    ///
+    /// [`EcoError::SolverBudgetExhausted`] on budget exhaustion.
+    pub(crate) fn explain_subset(
+        &mut self,
+        indices: &[usize],
+    ) -> Result<SubsetExplanation, EcoError> {
+        let mut assumptions = self.base.clone();
+        assumptions.extend(indices.iter().map(|&i| self.aux[i]));
+        let feasible = self.solve(&assumptions)?;
+        self.learn_from_model(feasible);
+        self.learn_into_classes(indices, feasible);
+        if !feasible {
+            return Ok(SubsetExplanation::Infeasible(self.minimal_correction_set()));
+        }
+        let conflict: std::collections::HashSet<Lit> =
+            self.solver.conflict().iter().copied().collect();
+        Ok(SubsetExplanation::Feasible(
+            indices
+                .iter()
+                .copied()
+                .filter(|&i| conflict.contains(&self.aux[i]))
+                .collect(),
+        ))
+    }
+
+    /// After an infeasible (satisfiable) query: the divisors whose two
+    /// miter-copy literals differ in the model (an unassigned literal
+    /// counts as differing). Every subset disjoint from this correction
+    /// set is infeasible by the same model, with its activations set.
+    fn model_correction_set(&self) -> Vec<usize> {
+        let differs = |&(d1, d2): &(Lit, Lit)| {
+            let (v1, v2) = (self.solver.model_value(d1), self.solver.model_value(d2));
+            v1 == LBool::Undef || v1 != v2
+        };
+        (0..self.copies.len())
+            .filter(|&i| differs(&self.copies[i]))
+            .collect()
+    }
+
+    /// After an infeasible (satisfiable) query: shrinks the model's
+    /// correction set `D` to a minimal one with the clause-D loop of
+    /// minimal-correction-subset extraction. Each round assumes every
+    /// divisor outside `D` and demands that one divisor of `D` agree
+    /// too. A model is a new witness whose correction set is a proper
+    /// subset of `D`; UNSAT proves `D` minimal, i.e. the divisors
+    /// outside it form a maximal infeasible set.
+    ///
+    /// Every intermediate `D` is a valid correction set, so a round
+    /// that runs out of budget ends the loop with the last one.
+    fn minimal_correction_set(&mut self) -> Vec<usize> {
+        let mut correction = self.model_correction_set();
+        while correction.len() > 1 {
+            let mut in_correction = vec![false; self.aux.len()];
+            for &i in &correction {
+                in_correction[i] = true;
+            }
+            // The demand clause lives under a fresh activation literal
+            // and is retired after the round.
+            let act = self.solver.new_var().positive();
+            let mut demand = vec![!act];
+            demand.extend(correction.iter().map(|&i| self.aux[i]));
+            self.solver.add_clause(&demand);
+            let mut assumptions = self.base.clone();
+            assumptions.extend(
+                (0..self.aux.len())
+                    .filter(|&i| !in_correction[i])
+                    .map(|i| self.aux[i]),
+            );
+            assumptions.push(act);
+            let shrunk = match self.solve(&assumptions) {
+                Ok(false) => Some(self.model_correction_set()),
+                Ok(true) | Err(_) => None,
+            };
+            self.solver.add_clause(&[!act]);
+            match shrunk {
+                Some(smaller) => correction = smaller,
+                None => break,
+            }
+        }
+        correction
     }
 
     /// Feasibility with *all* divisors active. This is the gate before

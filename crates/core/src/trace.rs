@@ -15,7 +15,7 @@
 //! closed by its `*_finished` partner in LIFO order.
 
 use crate::json::{escape_json, parse_json, JsonValue};
-use crate::observe::{EcoEvent, EcoObserver};
+use crate::observe::{prune_json, EcoEvent, EcoObserver};
 use eco_sat::SolveResult;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -86,6 +86,7 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
             target_index,
             worker,
             sat_calls,
+            prune,
             elapsed,
         } => {
             let _ = write!(
@@ -94,6 +95,9 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
                  \"sat_calls\":{sat_calls},\"elapsed_us\":{}",
                 duration_us(*elapsed)
             );
+            if let Some(p) = prune {
+                let _ = write!(s, ",\"prune\":{}", prune_json(*p));
+            }
         }
         EcoEvent::SatCall {
             kind,
@@ -1142,6 +1146,7 @@ mod tests {
                 target_index: 0,
                 worker: 1,
                 sat_calls: 1,
+                prune: None,
                 elapsed: Duration::from_micros(400),
             },
             EcoEvent::PhaseFinished {

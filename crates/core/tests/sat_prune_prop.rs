@@ -1,7 +1,8 @@
 //! Brute-force validation of `SAT_prune`'s single-target minimality
 //! guarantee (Sec. 3.4.2 of the paper): for small random instances,
 //! enumerate every divisor subset, find the true minimum-cost feasible
-//! support, and require `SAT_prune` to match it exactly.
+//! support, and require `SAT_prune` — under its default options — to
+//! match it exactly with a support that re-checks as feasible.
 
 use eco_aig::{Aig, AigLit, NodeId};
 use eco_core::{sat_prune_support, EcoProblem, QuantifiedMiter, SatPruneOptions, SupportSolver};
@@ -95,23 +96,25 @@ fn sat_prune_finds_the_true_minimum() {
             }
         }
         let best = best.expect("full set was feasible");
-        let result = sat_prune_support(
-            &mut ss,
-            None,
-            SatPruneOptions {
-                max_iterations: 10_000,
-                per_call_conflicts: None,
-            },
-        )
-        .expect("prune");
+        let result = sat_prune_support(&mut ss, None, SatPruneOptions::default()).expect("prune");
         assert!(
-            result.exact,
+            result.prune.exact,
             "case {case}: search must terminate with a proof of optimality"
         );
         assert_eq!(
             result.support.cost, best,
             "case {case} seed {seed}: SAT_prune cost {} != brute force {best}",
             result.support.cost
+        );
+        let support = &result.support.divisor_indices;
+        assert_eq!(
+            result.support.cost,
+            support.iter().map(|&i| costs[i]).sum::<u64>(),
+            "case {case}: reported cost must be the sum of its divisors' costs"
+        );
+        assert!(
+            ss.subset_feasible(support).expect("unbudgeted"),
+            "case {case}: the returned support must re-check as feasible"
         );
     });
 }

@@ -540,8 +540,12 @@ fn run(args: Args) -> Result<u8, CliError> {
                 TargetDisposition::Skipped { reason } => format!("skipped: {reason}"),
                 _ => "?".to_string(),
             };
+            let prune = match r.prune {
+                Some(p) => format!(" prune_iterations={} exact={}", p.iterations, p.exact),
+                None => String::new(),
+            };
             eprintln!(
-                "  target {} ({:?}, {disposition}): support={} cost={} gates={}",
+                "  target {} ({:?}, {disposition}): support={} cost={} gates={}{prune}",
                 target_names
                     .get(r.target_index)
                     .map(String::as_str)

@@ -88,6 +88,9 @@ fn assert_savings_audited(off: &RunMetrics, on: &RunMetrics, name: &str) {
     );
 }
 
+/// Inherited answers on unit20 (scale 0.008) under `SatPrune`: zero
+/// since the search loop's subset checks bypass the class layer.
+const PRUNE_INHERITED_ANSWERS: u64 = 0;
 #[test]
 fn classes_on_matches_classes_off_byte_for_byte() {
     for unit in table1_units(TEST_SCALE).iter() {
@@ -156,15 +159,18 @@ fn classes_never_add_sat_calls_on_unit20() {
             "{name}: the class layer never partitioned"
         );
         if method == SupportMethod::SatPrune {
-            // Everything is seeded, so the measured reduction is
-            // deterministic: inheritance must discharge real calls.
-            assert!(
-                on_m.classes.inherited_answers > 0,
-                "{name}: no answer was inherited"
+            // Everything is seeded, so the counts are deterministic.
+            // SAT_prune's explained subset checks always reach the
+            // solver (their models and cores are the explanation), so
+            // the class layer no longer answers inside the search loop.
+            assert_eq!(
+                on_m.classes.inherited_answers, PRUNE_INHERITED_ANSWERS,
+                "{name}: inherited answers moved"
             );
-            assert!(
-                on_m.sat_calls.total < off_m.sat_calls.total,
-                "{name}: classes must measurably reduce SAT calls here"
+            assert_eq!(
+                off_m.sat_calls.total - on_m.sat_calls.total,
+                PRUNE_INHERITED_ANSWERS,
+                "{name}: every inherited answer saves exactly one SAT call"
             );
         }
     }

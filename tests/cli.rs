@@ -175,7 +175,7 @@ fn stats_json_has_the_documented_schema() {
     );
     let json = std::fs::read_to_string(&stats).expect("stats file written");
     for key in [
-        "\"schema_version\":8",
+        "\"schema_version\":9",
         "\"num_targets\":1",
         "\"jobs\":1",
         "\"workers\":[",
@@ -221,7 +221,7 @@ fn stdout_is_pure_json_with_stats_dash() {
     let value = eco_patch::core::json::parse_json(&stdout).expect("stdout parses as JSON");
     assert_eq!(
         value.get("schema_version").and_then(|v| v.as_u64()),
-        Some(8),
+        Some(9),
         "stdout: {stdout}"
     );
 }

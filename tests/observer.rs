@@ -6,7 +6,7 @@ use eco_patch::aig::Aig;
 use eco_patch::core::json::{parse_json, JsonValue};
 use eco_patch::core::{
     BudgetMetrics, CacheCounters, ClassesCounters, EcoEngine, EcoEvent, EcoObserver, EcoOptions,
-    EcoProblem, KindMetrics, PatchKind, Phase, PhaseMetrics, RunMetrics, SatCallKind,
+    EcoProblem, KindMetrics, PatchKind, Phase, PhaseMetrics, PruneReport, RunMetrics, SatCallKind,
     SatCallMetrics, ServingCounters, SupportMethod, SweepCounters, TargetMetrics, WorkerMetrics,
 };
 use std::collections::HashMap;
@@ -168,6 +168,24 @@ fn attributed_sat_calls_match_reports_for_every_method() {
                     "{method:?}: events for target {} must match its report",
                     report.target_index
                 );
+                // The SAT_prune end state travels with the report and
+                // its TargetFinished event alike.
+                assert_eq!(
+                    report.prune.is_some(),
+                    method == SupportMethod::SatPrune && report.kind == PatchKind::Sat,
+                    "{method:?}: target {} prune block",
+                    report.target_index
+                );
+                assert!(report.prune.is_none_or(|p| p.exact));
+                let finished = events.iter().find_map(|e| match e {
+                    EcoEvent::TargetFinished {
+                        target_index,
+                        prune,
+                        ..
+                    } if *target_index == report.target_index => Some(*prune),
+                    _ => None,
+                });
+                assert_eq!(finished, Some(report.prune));
             }
         }
     }
@@ -395,6 +413,10 @@ fn golden_metrics() -> RunMetrics {
             sat_time: Duration::from_micros(80),
             conflict_histogram: [1, 2, 0, 0, 0, 0, 0, 0],
             latency_histogram: [0, 3, 0, 0, 0, 0, 0, 0],
+            prune: Some(PruneReport {
+                iterations: 24,
+                exact: true,
+            }),
         }],
         sat_calls: SatCallMetrics {
             total: 4,
@@ -457,14 +479,15 @@ fn run_metrics_golden_json() {
                              \"latency_histogram\":[0,0,0,0,0,0,0,0]}";
     let expected = format!(
         concat!(
-            "{{\"schema_version\":8,\"request_id\":\"req-7\",",
+            "{{\"schema_version\":9,\"request_id\":\"req-7\",",
             "\"num_targets\":1,\"per_call_conflicts\":1000,",
             "\"jobs\":2,\"elapsed_us\":1234,",
             "\"phases\":[{{\"phase\":\"sufficiency_check\",\"elapsed_us\":10}}],",
             "\"targets\":[{{\"target_index\":0,\"sat_calls\":3,\"observed_sat_calls\":3,",
             "\"conflicts\":7,\"elapsed_us\":100,\"sat_time_us\":80,",
             "\"conflict_histogram\":[1,2,0,0,0,0,0,0],",
-            "\"latency_histogram\":[0,3,0,0,0,0,0,0]}}],",
+            "\"latency_histogram\":[0,3,0,0,0,0,0,0],",
+            "\"prune\":{{\"iterations\":24,\"exact\":true}}}}],",
             "\"workers\":[{{\"worker\":0,\"targets\":0,\"sat_calls\":1,\"conflicts\":2,",
             "\"sat_time_us\":10}},",
             "{{\"worker\":1,\"targets\":1,\"sat_calls\":3,\"conflicts\":7,",
@@ -508,11 +531,11 @@ fn run_metrics_golden_json() {
 }
 
 #[test]
-fn run_metrics_v8_round_trips_through_parser() {
+fn run_metrics_v9_round_trips_through_parser() {
     let metrics = golden_metrics();
-    let doc = parse_json(&metrics.to_json()).expect("schema v8 output is valid JSON");
+    let doc = parse_json(&metrics.to_json()).expect("schema v9 output is valid JSON");
     let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(u(&doc, "schema_version"), Some(8));
+    assert_eq!(u(&doc, "schema_version"), Some(9));
     let serving = doc.get("serving").expect("serving counters object");
     assert_eq!(u(serving, "shed"), Some(8));
     assert_eq!(u(serving, "expired"), Some(9));
@@ -583,6 +606,9 @@ fn run_metrics_v8_round_trips_through_parser() {
         .and_then(JsonValue::as_array)
         .expect("targets")[0];
     assert_eq!(u(target, "sat_time_us"), Some(80));
+    let prune = target.get("prune").expect("prune block");
+    assert_eq!(u(prune, "iterations"), Some(24));
+    assert_eq!(prune.get("exact").and_then(JsonValue::as_bool), Some(true));
     let budget = doc.get("budget").expect("budget object");
     assert_eq!(
         budget.get("max_fraction").and_then(JsonValue::as_f64),

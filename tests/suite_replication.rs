@@ -4,7 +4,7 @@
 //! must hold.
 
 use eco_patch::benchgen::{build_unit, table1_units};
-use eco_patch::core::{EcoEngine, EcoOptions, SupportMethod};
+use eco_patch::core::{EcoEngine, EcoOptions, PatchKind, SupportMethod};
 
 const TEST_SCALE: f64 = 0.02;
 
@@ -104,6 +104,48 @@ fn multi_target_units_solve_with_sat_prune() {
             .unwrap_or_else(|e| panic!("{} failed: {e}", unit.name));
         assert!(outcome.verified, "{}", unit.name);
     }
+}
+
+#[test]
+fn sat_prune_proves_every_unit20_support_minimal() {
+    // The headline multi-target unit, small enough for a debug build.
+    let unit = table1_units(0.008)
+        .into_iter()
+        .find(|u| u.name == "unit20")
+        .expect("unit20 exists");
+    let problem = build_unit(&unit);
+    let solve = |method| {
+        EcoEngine::new(
+            EcoOptions::builder()
+                .method(method)
+                .build()
+                .expect("valid options"),
+        )
+        .solve(&problem.snapshot())
+        .unwrap_or_else(|e| panic!("unit20/{method:?} failed: {e}"))
+    };
+    let pruned = solve(SupportMethod::SatPrune);
+    let minimized = solve(SupportMethod::MinimizeAssumptions);
+    assert!(pruned.verified && minimized.verified);
+    for report in &pruned.reports {
+        if report.kind == PatchKind::TrivialDead {
+            continue;
+        }
+        let prune = report
+            .prune
+            .unwrap_or_else(|| panic!("target {}: no prune report", report.target_index));
+        assert!(
+            prune.exact,
+            "target {}: search stopped after {} iterations without a proof",
+            report.target_index, prune.iterations
+        );
+    }
+    assert!(
+        pruned.total_cost <= minimized.total_cost,
+        "SAT_prune cost {} exceeds minimize_assumptions cost {}",
+        pruned.total_cost,
+        minimized.total_cost
+    );
 }
 
 #[test]
