@@ -11,11 +11,15 @@
 //! engine: zero SAT calls, visible in the per-request
 //! [`RunMetrics`](eco_core::RunMetrics) as `sat_calls.total == 0` with
 //! `cache.outcome_hits == 1`.
+//!
+//! The netlist layer is single-flight: concurrent requests carrying the
+//! same Verilog text parse it once; the others wait for that parse and
+//! count as hits.
 
 use eco_core::{CacheStats, ContentHasher, EcoCache};
 use eco_netlist::{AigConversion, Netlist, ParsedModule};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Domain tag for parsed-netlist keys.
 const TAG_NETLIST: u64 = 0x4e_45_54; // "NET"
@@ -97,6 +101,35 @@ impl<T: Clone> Lru<T> {
     }
 }
 
+/// Locks `m`, recovering the data if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Keys whose value is being computed right now, with a condvar that
+/// wakes the waiters when one finishes.
+#[derive(Default)]
+struct InFlight {
+    keys: Mutex<HashSet<u128>>,
+    done: Condvar,
+}
+
+/// The right to compute one in-flight key. Dropping it — after the
+/// value is stored, or when the computation fails or panics — releases
+/// the key and wakes every waiter, which then looks in the cache again
+/// (and computes the value itself if it is still missing).
+struct Ticket<'a> {
+    in_flight: &'a InFlight,
+    key: u128,
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        lock(&self.in_flight.keys).remove(&self.key);
+        self.in_flight.done.notify_all();
+    }
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Counters {
     netlist_hits: u64,
@@ -163,6 +196,8 @@ impl DaemonCacheStats {
 #[derive(Clone)]
 pub struct DaemonCache {
     netlist: Arc<Mutex<Lru<Arc<ParsedDesign>>>>,
+    /// Netlist keys being parsed (single-flight).
+    parsing: Arc<InFlight>,
     outcome: Arc<Mutex<Lru<Arc<CachedOutcome>>>>,
     /// Quarantined request fingerprints → panic message. An entry
     /// means "this exact request crashed a worker"; retries are
@@ -189,6 +224,7 @@ impl DaemonCache {
         let capacity = capacity.max(1);
         DaemonCache {
             netlist: Arc::new(Mutex::new(Lru::new())),
+            parsing: Arc::default(),
             outcome: Arc::new(Mutex::new(Lru::new())),
             poison: Arc::new(Mutex::new(Lru::new())),
             counters: Arc::new(Mutex::new(Counters::default())),
@@ -205,18 +241,10 @@ impl DaemonCache {
 
     /// Current statistics across all layers.
     pub fn stats(&self) -> DaemonCacheStats {
-        let c = *self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        let c = *lock(&self.counters);
         let evictions = {
-            let n = self
-                .netlist
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .evictions;
-            let o = self
-                .outcome
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .evictions;
+            let n = lock(&self.netlist).evictions;
+            let o = lock(&self.outcome).evictions;
             n + o
         };
         DaemonCacheStats {
@@ -224,11 +252,7 @@ impl DaemonCache {
             netlist_misses: c.netlist_misses,
             outcome_hits: c.outcome_hits,
             outcome_misses: c.outcome_misses,
-            poison_pills: self
-                .poison
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len() as u64,
+            poison_pills: lock(&self.poison).len() as u64,
             poison_hits: c.poison_hits,
             evictions,
             engine: self.engine.stats(),
@@ -239,71 +263,60 @@ impl DaemonCache {
     /// later request with the same fingerprint is answered by
     /// [`DaemonCache::poisoned`] without touching the engine.
     pub(crate) fn poison(&self, key: u128, message: &str) {
-        self.poison
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, Arc::new(message.to_string()), self.capacity);
+        lock(&self.poison).put(key, Arc::new(message.to_string()), self.capacity);
     }
 
     /// The stored panic message when `key` is quarantined; counts a
     /// poison hit on match.
     pub(crate) fn poisoned(&self, key: u128) -> Option<Arc<String>> {
-        let hit = self
-            .poison
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key);
+        let hit = lock(&self.poison).get(key);
         if hit.is_some() {
-            self.counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .poison_hits += 1;
+            lock(&self.counters).poison_hits += 1;
         }
         hit
     }
 
     /// Parses `text` through the netlist layer; the returned flag is
-    /// `true` on a hit. A parse or conversion failure is reported (and
-    /// never cached), so a later corrected request re-parses.
+    /// `true` on a hit. A request that finds the same text being parsed
+    /// waits for that parse and counts as a hit. A parse or conversion
+    /// failure is reported (and never cached), so a later corrected
+    /// request re-parses.
     pub(crate) fn parsed(&self, text: &str) -> Result<(Arc<ParsedDesign>, bool), String> {
-        let key = {
-            let mut h = ContentHasher::new(TAG_NETLIST);
-            h.write_bytes(text.as_bytes());
-            h.finish128()
+        let key = netlist_key(text);
+        let _ticket = loop {
+            // Look up under the in-flight lock, so a parse cannot finish
+            // between the miss and the claim.
+            let mut parsing = lock(&self.parsing.keys);
+            if let Some(design) = lock(&self.netlist).get(key) {
+                drop(parsing);
+                lock(&self.counters).netlist_hits += 1;
+                return Ok((design, true));
+            }
+            if parsing.insert(key) {
+                break Ticket {
+                    in_flight: &self.parsing,
+                    key,
+                };
+            }
+            while parsing.contains(&key) {
+                parsing = self
+                    .parsing
+                    .done
+                    .wait(parsing)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         };
-        if let Some(design) = self
-            .netlist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            self.counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .netlist_hits += 1;
-            return Ok((design, true));
-        }
-        self.counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .netlist_misses += 1;
+        lock(&self.counters).netlist_misses += 1;
         let module = eco_netlist::parse_verilog(text).map_err(|e| e.to_string())?;
         let conversion = module.netlist.to_aig().map_err(|e| e.to_string())?;
         let design = Arc::new(ParsedDesign { module, conversion });
-        self.netlist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, design.clone(), self.capacity);
+        lock(&self.netlist).put(key, design.clone(), self.capacity);
         Ok((design, false))
     }
 
     pub(crate) fn lookup_outcome(&self, key: u128) -> Option<Arc<CachedOutcome>> {
-        let hit = self
-            .outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key);
-        let mut c = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock(&self.outcome).get(key);
+        let mut c = lock(&self.counters);
         match hit {
             Some(outcome) => {
                 c.outcome_hits += 1;
@@ -317,11 +330,15 @@ impl DaemonCache {
     }
 
     pub(crate) fn store_outcome(&self, key: u128, outcome: CachedOutcome) {
-        self.outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, Arc::new(outcome), self.capacity);
+        lock(&self.outcome).put(key, Arc::new(outcome), self.capacity);
     }
+}
+
+/// The netlist-layer key: a hash of the Verilog text.
+fn netlist_key(text: &str) -> u128 {
+    let mut h = ContentHasher::new(TAG_NETLIST);
+    h.write_bytes(text.as_bytes());
+    h.finish128()
 }
 
 /// The full-request fingerprint: netlist texts, targets, weights, and
@@ -438,6 +455,71 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.netlist_hits, 1);
         assert_eq!(stats.netlist_misses, 3);
+    }
+
+    #[test]
+    fn waiters_share_an_in_flight_parse() {
+        let cache = DaemonCache::new(4);
+        let src = "module m(a, y);\ninput a;\noutput y;\nnot g0(y, a);\nendmodule\n";
+        // Stand in for a worker that is parsing `src` right now.
+        let key = netlist_key(src);
+        assert!(lock(&cache.parsing.keys).insert(key));
+        let ticket = Ticket {
+            in_flight: &cache.parsing,
+            key,
+        };
+        let results: Vec<(Arc<ParsedDesign>, bool)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.parsed(src).expect("parses")))
+                .collect();
+            // None of them can parse while the key is in flight; finish
+            // the stand-in parse, then release the key.
+            let (design, _) = DaemonCache::new(1).parsed(src).expect("parses");
+            lock(&cache.netlist).put(key, design, cache.capacity);
+            drop(ticket);
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(results.iter().all(|(_, hit)| *hit));
+        assert!(results.iter().all(|(d, _)| Arc::ptr_eq(d, &results[0].0)));
+        let stats = cache.stats();
+        assert_eq!((stats.netlist_hits, stats.netlist_misses), (4, 0));
+        // Failures wake their waiters, each of which then parses (and
+        // fails) itself: nothing hangs and nothing is cached.
+        let failures = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.parsed("not verilog").is_err()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .filter(|&failed| failed)
+                .count()
+        });
+        assert_eq!(failures, 4);
+        assert_eq!(cache.stats().netlist_misses, 4);
+    }
+
+    #[test]
+    fn a_panicking_parse_releases_its_key() {
+        let cache = DaemonCache::new(4);
+        let key = 42;
+        let ticket_holder = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    assert!(lock(&cache.parsing.keys).insert(key));
+                    let _ticket = Ticket {
+                        in_flight: &cache.parsing,
+                        key,
+                    };
+                    panic!("parser crashed");
+                })
+                .join()
+        });
+        assert!(ticket_holder.is_err());
+        assert!(lock(&cache.parsing.keys).is_empty(), "the drop guard ran");
+        // The layer is still usable afterwards.
+        let src = "module m(a, y);\ninput a;\noutput y;\nbuf g0(y, a);\nendmodule\n";
+        assert!(!cache.parsed(src).expect("parses").1);
     }
 
     #[test]

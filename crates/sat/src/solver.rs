@@ -12,7 +12,7 @@
 //! - optional resolution-proof logging for Craig interpolation
 //!   ([`Solver::enable_proof`]).
 
-use crate::clause::{ClauseDb, ClauseRef};
+use crate::clause::{ClauseDb, ClauseRef, Watcher, BINARY, NO_CLAUSE};
 use crate::govern::SearchControl;
 use crate::heap::VarHeap;
 use crate::types::{LBool, Lit, SolveResult, Var};
@@ -127,12 +127,6 @@ impl ProofLog {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Watcher {
-    cref: ClauseRef,
-    blocker: Lit,
-}
-
 /// Incremental CDCL SAT solver.
 ///
 /// # Examples
@@ -158,11 +152,15 @@ pub struct Solver {
     /// Number of live original (problem) clauses.
     num_original: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Literal-indexed assignment: `vals[l]` is the value of `l`, kept
+    /// in step for both polarities of a variable.
+    vals: Vec<LBool>,
     polarity: Vec<bool>,
     decision_var: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
+    /// Arena offset of each variable's reason clause ([`NO_CLAUSE`]
+    /// for decisions and unassigned variables).
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -171,6 +169,8 @@ pub struct Solver {
     var_decay: f64,
     cla_inc: f64,
     cla_decay: f64,
+    /// Times learnt-clause activities were rescaled to avoid overflow.
+    cla_rescales: u64,
     order: VarHeap,
     seen: Vec<u8>,
     analyze_stack: Vec<Lit>,
@@ -211,7 +211,7 @@ impl Solver {
             db: ClauseDb::new(),
             num_original: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             decision_var: Vec::new(),
             level: Vec::new(),
@@ -224,6 +224,7 @@ impl Solver {
             var_decay: 0.95,
             cla_inc: 1.0,
             cla_decay: 0.999,
+            cla_rescales: 0,
             order: VarHeap::new(),
             seen: Vec::new(),
             analyze_stack: Vec::new(),
@@ -278,7 +279,7 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of live problem (non-learnt) clauses.
@@ -313,12 +314,12 @@ impl Solver {
 
     /// Creates a fresh decision variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.extend([LBool::Undef, LBool::Undef]);
         self.polarity.push(true); // default phase: assign false
         self.decision_var.push(true);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_CLAUSE);
         self.activity.push(0.0);
         self.seen.push(0);
         self.lbd_stamp.push(0);
@@ -339,7 +340,7 @@ impl Solver {
     /// useful for auxiliary encodings whose values are implied.
     pub fn set_decision_var(&mut self, v: Var, decision: bool) {
         self.decision_var[v.index()] = decision;
-        if decision && self.assigns[v.index()].is_undef() {
+        if decision && self.value_lit(v.positive()).is_undef() {
             self.order.insert(v, &self.activity);
         }
     }
@@ -415,7 +416,7 @@ impl Solver {
 
     #[inline]
     fn value_lit(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()] ^ l.is_negated()
+        self.vals[l.index()]
     }
 
     /// Current assignment of a literal (valid during/after search at
@@ -503,7 +504,8 @@ impl Solver {
             }
             1 => {
                 if self.proof.is_some() {
-                    let cref = self.db.alloc(ps.clone(), false, 0);
+                    let off = self.db.alloc(&ps, false, 0);
+                    let cref = self.db.id(off);
                     self.num_original += 1;
                     self.tag_clause(cref, tag, ProofChain::default());
                     match self.value_lit(ps[0]) {
@@ -515,10 +517,10 @@ impl Solver {
                             (false, Some(cref))
                         }
                         LBool::Undef => {
-                            self.unchecked_enqueue(ps[0], Some(cref));
+                            self.unchecked_enqueue(ps[0], off);
                             let confl = self.propagate();
                             if let Some(c) = confl {
-                                self.final_conflict = Some(c);
+                                self.final_conflict = Some(self.db.id(c));
                                 self.ok = false;
                                 (false, Some(cref))
                             } else {
@@ -527,7 +529,7 @@ impl Solver {
                         }
                     }
                 } else {
-                    self.unchecked_enqueue(ps[0], None);
+                    self.unchecked_enqueue(ps[0], NO_CLAUSE);
                     if self.propagate().is_some() {
                         self.ok = false;
                         (false, None)
@@ -537,12 +539,13 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.alloc(ps, false, 0);
+                let off = self.db.alloc(&ps, false, 0);
+                let cref = self.db.id(off);
                 self.num_original += 1;
                 if self.proof.is_some() {
                     self.tag_clause(cref, tag, ProofChain::default());
                 }
-                self.attach(cref);
+                self.attach(off);
                 (true, Some(cref))
             }
         }
@@ -566,12 +569,12 @@ impl Solver {
 
     /// The literals of a live clause.
     pub fn clause_lits(&self, cref: ClauseRef) -> &[Lit] {
-        &self.db.get(cref).lits
+        self.db.lits(self.db.offset(cref))
     }
 
     /// `true` when the clause was learnt (derived) rather than given.
     pub fn clause_is_learnt(&self, cref: ClauseRef) -> bool {
-        self.db.get(cref).learnt
+        self.db.is_learnt(self.db.offset(cref))
     }
 
     /// The recorded derivation of a learnt clause (proof mode only).
@@ -590,7 +593,8 @@ impl Solver {
     /// The reason clause that propagated the current value of `v`
     /// (valid for level-zero inspection after solving in proof mode).
     pub fn var_reason(&self, v: Var) -> Option<ClauseRef> {
-        self.reason[v.index()]
+        let r = self.reason[v.index()];
+        (r != NO_CLAUSE).then(|| self.db.id(r))
     }
 
     /// Total clause-arena length, covering every [`ClauseRef`] ever
@@ -609,25 +613,29 @@ impl Solver {
         &self.trail[..end]
     }
 
-    fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
+    /// Watches the first two literals of the clause at `off`. Outside
+    /// proof mode a binary clause gets tagged watchers whose blocker is
+    /// the literal the clause implies, so propagating it never touches
+    /// clause memory.
+    fn attach(&mut self, off: u32) {
+        let lits = self.db.lits(off);
+        let (l0, l1) = (lits[0], lits[1]);
+        let cref = if lits.len() == 2 && self.proof.is_none() {
+            off | BINARY
+        } else {
+            off
         };
         self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
     }
 
-    fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
-        };
-        for w in [(!l0).index(), (!l1).index()] {
+    fn detach(&mut self, off: u32) {
+        let lits = self.db.lits(off);
+        for w in [(!lits[0]).index(), (!lits[1]).index()] {
             let list = &mut self.watches[w];
             let pos = list
                 .iter()
-                .position(|watcher| watcher.cref == cref)
+                .position(|watcher| watcher.offset() == off)
                 .expect("watcher must exist");
             list.swap_remove(pos);
         }
@@ -638,57 +646,71 @@ impl Solver {
         self.trail_lim.len()
     }
 
-    fn unchecked_enqueue(&mut self, p: Lit, from: Option<ClauseRef>) {
+    fn unchecked_enqueue(&mut self, p: Lit, from: u32) {
         debug_assert!(self.value_lit(p).is_undef());
         let v = p.var().index();
-        self.assigns[v] = LBool::from(!p.is_negated());
+        self.vals[p.index()] = LBool::True;
+        self.vals[(!p).index()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.trail.push(p);
     }
 
-    /// Propagates all enqueued facts; returns a conflicting clause if one
-    /// arises.
-    fn propagate(&mut self) -> Option<ClauseRef> {
+    /// Propagates all enqueued facts; returns the offset of a
+    /// conflicting clause if one arises.
+    fn propagate(&mut self) -> Option<u32> {
         let mut confl = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             self.budget_propagations += 1;
+            let false_lit = !p;
             let mut i = 0;
             // Take the watch list to appease the borrow checker; indices
             // into `self.watches[p]` are edited in place.
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             'watchers: while i < ws.len() {
                 let Watcher { cref, blocker } = ws[i];
-                if self.value_lit(blocker).is_true() {
+                let blocker_value = self.vals[blocker.index()];
+                if blocker_value == LBool::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
+                if cref & BINARY != 0 {
+                    // The blocker is the other literal: the clause is
+                    // unit or conflicting.
+                    let off = cref & !BINARY;
+                    i += 1;
+                    if blocker_value == LBool::False {
+                        // Conflict analysis reads the literals in the
+                        // order [other, false_lit].
+                        let lits = self.db.lits_mut(off);
+                        lits[0] = blocker;
+                        lits[1] = false_lit;
+                        confl = Some(off);
+                        self.qhead = self.trail.len();
+                        break;
                     }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                    self.unchecked_enqueue(blocker, off);
+                    continue;
                 }
-                let first = self.db.get(cref).lits[0];
-                if first != blocker && self.value_lit(first).is_true() {
-                    ws[i] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                let lits = self.db.lits_mut(cref);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != blocker && self.vals[first.index()] == LBool::True {
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).lits.len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
-                    if !self.value_lit(lk).is_false() {
-                        self.db.get_mut(cref).lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.vals[lk.index()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).index()].push(Watcher {
                             cref,
                             blocker: first,
@@ -698,17 +720,14 @@ impl Solver {
                     }
                 }
                 // Clause is unit or conflicting.
-                ws[i] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[i].blocker = first;
                 i += 1;
-                if self.value_lit(first).is_false() {
+                if self.vals[first.index()] == LBool::False {
                     confl = Some(cref);
                     self.qhead = self.trail.len();
                     break;
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, cref);
                 }
             }
             let mut existing = std::mem::take(&mut self.watches[p.index()]);
@@ -742,13 +761,18 @@ impl Solver {
         self.var_inc /= self.var_decay;
     }
 
-    fn cla_bump_activity(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        c.activity += self.cla_inc as f32;
-        if c.activity > 1e20 {
-            let refs = self.db.learnt_refs();
-            for r in refs {
-                self.db.get_mut(r).activity *= 1e-20;
+    /// Bumps a learnt clause's activity. Only learnt clauses carry an
+    /// activity (reduction ranks nothing else), and only they are
+    /// rescaled, so bumping an original clause would let it cross the
+    /// threshold again on every later bump and drive `cla_inc` to zero.
+    fn cla_bump_activity(&mut self, off: u32) {
+        debug_assert!(self.db.is_learnt(off));
+        let activity = self.db.activity(off) + self.cla_inc as f32;
+        self.db.set_activity(off, activity);
+        if activity > 1e20 {
+            self.cla_rescales += 1;
+            for r in self.db.learnt_refs() {
+                self.db.set_activity(r, self.db.activity(r) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -776,21 +800,29 @@ impl Solver {
     /// Analyzes a conflict; returns the learnt clause (first literal is
     /// the asserting literal) and the backtrack level. Records the
     /// resolution chain into `chain_scratch` when proof mode is active.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
+    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::UNDEF];
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let proof = self.proof.is_some();
-        self.chain_scratch.head = Some(confl);
-        self.chain_scratch.steps.clear();
+        if proof {
+            self.chain_scratch.head = Some(self.db.id(confl));
+            self.chain_scratch.steps.clear();
+        }
 
         loop {
-            self.cla_bump_activity(confl);
-            let start = usize::from(p.is_some());
-            let n = self.db.get(confl).lits.len();
-            for k in start..n {
-                let q = self.db.get(confl).lits[k];
+            if self.db.is_learnt(confl) {
+                self.cla_bump_activity(confl);
+            }
+            let n = self.db.len_of(confl);
+            for k in 0..n {
+                let q = self.db.lit(confl, k);
+                // A reason clause contributes every literal but the one
+                // it implied; the conflict clause contributes all.
+                if Some(q) == p {
+                    continue;
+                }
                 let v = q.var();
                 if self.seen[v.index()] == 0 {
                     if self.level[v.index()] > 0 {
@@ -825,11 +857,12 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
-            confl = self.reason[pl.var().index()].expect("non-decision must have a reason");
+            confl = self.reason[pl.var().index()];
+            debug_assert!(confl != NO_CLAUSE, "non-decision must have a reason");
             if proof {
                 self.chain_scratch.steps.push(ChainStep {
                     pivot: pl.var(),
-                    clause: confl,
+                    clause: self.db.id(confl),
                 });
             }
         }
@@ -846,7 +879,7 @@ impl Solver {
             let mut j = 1;
             for i in 1..learnt.len() {
                 let l = learnt[i];
-                let keep = self.reason[l.var().index()].is_none()
+                let keep = self.reason[l.var().index()] == NO_CLAUSE
                     || !self.lit_redundant(l, abstract_levels);
                 if keep {
                     learnt[j] = l;
@@ -890,13 +923,17 @@ impl Solver {
         self.analyze_stack.push(p);
         let top = self.analyze_toclear.len();
         while let Some(q) = self.analyze_stack.pop() {
-            let cref = self.reason[q.var().index()].expect("stacked literals have reasons");
-            let n = self.db.get(cref).lits.len();
-            for k in 1..n {
-                let l = self.db.get(cref).lits[k];
+            let r = self.reason[q.var().index()];
+            debug_assert!(r != NO_CLAUSE, "stacked literals have reasons");
+            let n = self.db.len_of(r);
+            for k in 0..n {
+                let l = self.db.lit(r, k);
                 let v = l.var();
+                if v == q.var() {
+                    continue; // the literal the reason implied
+                }
                 if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
-                    if self.reason[v.index()].is_some()
+                    if self.reason[v.index()] != NO_CLAUSE
                         && self.abstract_level(v) & abstract_levels != 0
                     {
                         self.seen[v.index()] = 1;
@@ -933,19 +970,16 @@ impl Solver {
             if self.seen[xv] == 0 {
                 continue;
             }
-            match self.reason[xv] {
-                None => {
-                    debug_assert!(self.level[xv] > 0);
-                    // A decision here is an asserted assumption.
-                    self.conflict.push(x);
-                }
-                Some(r) => {
-                    let n = self.db.get(r).lits.len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
-                        if self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = 1;
-                        }
+            let r = self.reason[xv];
+            if r == NO_CLAUSE {
+                debug_assert!(self.level[xv] > 0);
+                // A decision here is an asserted assumption.
+                self.conflict.push(x);
+            } else {
+                for k in 0..self.db.len_of(r) {
+                    let q = self.db.lit(r, k);
+                    if q != x && self.level[q.var().index()] > 0 {
+                        self.seen[q.var().index()] = 1;
                     }
                 }
             }
@@ -962,10 +996,11 @@ impl Solver {
         for i in (bound..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             // Phase saving.
             self.polarity[v.index()] = l.is_negated();
-            self.reason[v.index()] = None;
+            self.reason[v.index()] = NO_CLAUSE;
             if !self.order.contains(v) && self.decision_var[v.index()] {
                 self.order.insert(v, &self.activity);
             }
@@ -978,7 +1013,7 @@ impl Solver {
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         loop {
             let v = self.order.pop(&self.activity)?;
-            if self.assigns[v.index()].is_undef() && self.decision_var[v.index()] {
+            if self.value_lit(v.positive()).is_undef() && self.decision_var[v.index()] {
                 return Some(v.lit(self.polarity[v.index()]));
             }
         }
@@ -988,14 +1023,15 @@ impl Solver {
         if self.proof.is_some() {
             return; // keep everything for the refutation
         }
+        // Id order, then a stable sort, so ties never depend on where
+        // clauses sit in the arena.
         let mut refs = self.db.learnt_refs();
         // Sort so the clauses to remove come first: high LBD, low activity.
+        let db = &self.db;
         refs.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
@@ -1005,14 +1041,13 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            let c = self.db.get(r);
-            if c.lbd <= 2 || c.lits.len() == 2 {
+            if self.db.lbd(r) <= 2 || self.db.len_of(r) == 2 {
                 continue;
             }
             // Never remove a clause that is the reason for a current
             // assignment.
-            let l0 = c.lits[0];
-            let locked = self.value_lit(l0).is_true() && self.reason[l0.var().index()] == Some(r);
+            let l0 = self.db.lit(r, 0);
+            let locked = self.value_lit(l0).is_true() && self.reason[l0.var().index()] == r;
             if locked {
                 continue;
             }
@@ -1020,6 +1055,9 @@ impl Solver {
             self.db.free(r);
             removed += 1;
             self.stats.deleted_learnts += 1;
+        }
+        if self.db.should_compact() {
+            self.db.compact(&mut self.watches, &mut self.reason);
         }
     }
 
@@ -1041,7 +1079,7 @@ impl Solver {
                 conflicts_here += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
-                    self.final_conflict = Some(confl);
+                    self.final_conflict = Some(self.db.id(confl));
                     self.conflict.clear();
                     return SolveResult::Unsat;
                 }
@@ -1052,11 +1090,13 @@ impl Solver {
                 self.stats.learned_clauses += 1;
                 if learnt.len() == 1 {
                     if self.proof.is_some() {
+                        // Units are first-class proof objects here.
                         let chain = std::mem::take(&mut self.chain_scratch);
-                        let cref = self.db.alloc_unit_learnt(learnt[0]);
+                        let off = self.db.alloc(&learnt, true, 1);
+                        let cref = self.db.id(off);
                         self.tag_clause(cref, 0, chain);
                         if self.decision_level() == 0 && self.value_lit(learnt[0]).is_undef() {
-                            self.unchecked_enqueue(learnt[0], Some(cref));
+                            self.unchecked_enqueue(learnt[0], off);
                         } else if self.decision_level() == 0 {
                             // Already assigned: either satisfied (fine) or
                             // conflicting (unsat).
@@ -1067,23 +1107,22 @@ impl Solver {
                                 return SolveResult::Unsat;
                             }
                         } else {
-                            self.unchecked_enqueue(learnt[0], Some(cref));
+                            self.unchecked_enqueue(learnt[0], off);
                         }
                     } else {
                         debug_assert_eq!(self.decision_level(), 0);
-                        self.unchecked_enqueue(learnt[0], None);
+                        self.unchecked_enqueue(learnt[0], NO_CLAUSE);
                     }
                 } else {
                     let lbd = self.compute_lbd(&learnt);
-                    let first = learnt[0];
-                    let cref = self.db.alloc(learnt, true, lbd);
+                    let off = self.db.alloc(&learnt, true, lbd);
                     if self.proof.is_some() {
                         let chain = std::mem::take(&mut self.chain_scratch);
-                        self.tag_clause(cref, 0, chain);
+                        self.tag_clause(self.db.id(off), 0, chain);
                     }
-                    self.attach(cref);
-                    self.cla_bump_activity(cref);
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.attach(off);
+                    self.cla_bump_activity(off);
+                    self.unchecked_enqueue(learnt[0], off);
                 }
                 self.stats.peak_learnts = self.stats.peak_learnts.max(self.db.num_learnt as u64);
                 self.var_decay_activity();
@@ -1140,13 +1179,13 @@ impl Solver {
                         }
                         None => {
                             // All variables assigned: model found.
-                            self.model = self.assigns.clone();
+                            self.model = self.vals.iter().step_by(2).copied().collect();
                             return SolveResult::Sat;
                         }
                     },
                 };
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(decision, None);
+                self.unchecked_enqueue(decision, NO_CLAUSE);
             }
         }
     }
@@ -1226,12 +1265,43 @@ impl Solver {
     }
 }
 
-impl ClauseDb {
-    /// Allocates a learnt *unit* clause; only used in proof mode where
-    /// units must be first-class proof objects.
-    fn alloc_unit_learnt(&mut self, l: Lit) -> ClauseRef {
-        self.alloc(vec![l], true, 1)
+#[cfg(test)]
+impl Solver {
+    pub(crate) fn clause_db(&self) -> &ClauseDb {
+        &self.db
     }
+
+    /// Frees an original clause that is no one's reason and compacts
+    /// the arena, as a reduction would.
+    pub(crate) fn free_and_compact(&mut self, cref: ClauseRef) {
+        let off = self.db.offset(cref);
+        self.detach(off);
+        self.db.free(off);
+        self.num_original -= 1;
+        self.db.compact(&mut self.watches, &mut self.reason);
+    }
+}
+
+/// Test instance: `pigeons` pigeons into `pigeons - 1` holes (UNSAT,
+/// exponential for resolution). Returns the `pigeon × hole` variables.
+#[cfg(test)]
+pub(crate) fn pigeonhole(s: &mut Solver, pigeons: usize) -> Vec<Vec<Var>> {
+    let holes = pigeons - 1;
+    let p: Vec<Vec<Var>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| s.new_var()).collect())
+        .collect();
+    for row in &p {
+        let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+        s.add_clause(&clause);
+    }
+    for h in 0..holes {
+        for (i1, row1) in p.iter().enumerate() {
+            for row2 in &p[i1 + 1..] {
+                s.add_clause(&[row1[h].negative(), row2[h].negative()]);
+            }
+        }
+    }
+    p
 }
 
 /// The reluctant-doubling (Luby) restart sequence.
@@ -1636,6 +1706,27 @@ mod more_tests {
         s.set_timing(false);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert_eq!(s.stats().solve_time, after);
+    }
+
+    #[test]
+    fn clause_activity_rescales_stay_rare_on_long_runs() {
+        // Pigeonhole 10 -> 9 under a 52,000-conflict budget: activities
+        // grow by 1/0.999 per conflict, so the 1e20 threshold is crossed
+        // after roughly 40,000 conflicts. Bumping original clauses used
+        // to rescale on every later bump of one that crossed, driving
+        // `cla_inc` towards zero and freezing learnt activities.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 10);
+        s.set_budget(Some(52_000), None);
+        assert_eq!(s.solve(&[]), SolveResult::Unknown);
+        assert!(s.stats().conflicts >= 52_000);
+        assert!(s.cla_rescales >= 1, "the run must reach the threshold");
+        assert!(s.cla_rescales <= 3, "{} rescales", s.cla_rescales);
+        assert!(
+            s.cla_inc > 1e-10 && s.cla_inc.is_finite(),
+            "cla_inc = {}",
+            s.cla_inc
+        );
     }
 
     #[test]
