@@ -1,12 +1,11 @@
-//! Simulation-guided equivalence-candidate detection (the front half of
-//! a fraig/SAT-sweeping engine, after FRAIG-BMC).
+//! Simulation-guided equivalence-candidate detection (after
+//! FRAIG-BMC).
 //!
 //! A deterministic [`PatternPool`] drives the 64-way bit-parallel
 //! simulator; nodes whose signatures agree (up to complementation) land
 //! in the same [`CandidateClasses`] class. Classes are *candidates*
-//! only: proving members equivalent (and merging them) is the SAT
-//! half, which lives in the `eco-core` sweep layer so the governed
-//! solver applies. Counterexamples from failed proofs are fed back via
+//! only: nothing here proves them equivalent. Counterexamples learned
+//! by the `eco-core` simulation oracles are fed back via
 //! [`PatternPool::add_pattern`], refining the partition CEGAR-style.
 
 use crate::aig::Aig;
@@ -150,29 +149,19 @@ impl PatternPool {
     }
 }
 
-/// One member of a candidate class: a node plus the phase relating it
-/// to the class representative (`complement == true` means the member
-/// is a candidate for the representative's *negation*).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SweepCandidate {
-    /// The member node.
-    pub node: NodeId,
-    /// Phase relative to the class representative.
-    pub complement: bool,
-}
-
 /// A partition of an AIG's nodes into equivalence-candidate classes
 /// under a [`PatternPool`], up to complementation.
 ///
-/// Each class lists its members in topological order; the first member
-/// is the representative (always with `complement == false`). Only
-/// classes with two or more members are kept — singletons cannot be
-/// merged. The constant-0 node participates, so a class led by it
-/// contains candidates for constant nodes.
+/// Each class lists its members in topological order as literals in
+/// the representative's phase: every member literal is a candidate for
+/// the same function, and the first is the representative's positive
+/// literal. Only classes with two or more members are kept —
+/// singletons cannot be merged. The constant-0 node participates, so a
+/// class led by it contains candidates for constant nodes.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateClasses {
     /// The candidate classes, ordered by representative node index.
-    pub classes: Vec<Vec<SweepCandidate>>,
+    pub classes: Vec<Vec<AigLit>>,
 }
 
 impl CandidateClasses {
@@ -215,32 +204,11 @@ impl CandidateClasses {
                 let rep_phase = class[0].1;
                 class
                     .into_iter()
-                    .map(|(node, phase)| SweepCandidate {
-                        node,
-                        complement: phase != rep_phase,
-                    })
+                    .map(|(node, phase)| node.lit().xor_complement(phase != rep_phase))
                     .collect()
             })
             .collect();
         CandidateClasses { classes }
-    }
-
-    /// Total members across all classes, counting each class's
-    /// non-representative members (the merge candidates).
-    pub fn num_candidates(&self) -> usize {
-        self.classes.iter().map(|c| c.len() - 1).sum()
-    }
-
-    /// Candidate merge pairs `(member, representative-literal-phase)`:
-    /// for each non-representative member, the representative literal
-    /// it is a candidate to be replaced by.
-    pub fn merge_candidates(&self) -> impl Iterator<Item = (NodeId, AigLit)> + '_ {
-        self.classes.iter().flat_map(|class| {
-            let rep = class[0].node;
-            class[1..]
-                .iter()
-                .map(move |m| (m.node, rep.lit().xor_complement(m.complement)))
-        })
     }
 }
 
@@ -261,6 +229,15 @@ mod tests {
         g.add_output(redundant);
         g.add_output(x1);
         (g, a, redundant)
+    }
+
+    /// True when `x` and `y` are candidates for the same function:
+    /// one class holds both literals, or both complements.
+    fn same_function(classes: &CandidateClasses, x: AigLit, y: AigLit) -> bool {
+        classes
+            .classes
+            .iter()
+            .any(|c| (c.contains(&x) && c.contains(&y)) || (c.contains(&!x) && c.contains(&!y)))
     }
 
     #[test]
@@ -316,13 +293,10 @@ mod tests {
         let (g, a, redundant) = redundant_aig();
         let pool = PatternPool::new(2, 2, 1);
         let classes = CandidateClasses::compute(&g, &pool);
-        // redundant ≡ a, so its underlying node computes a in the
-        // redundant literal's phase.
-        let expect = a.xor_complement(redundant.is_complement());
-        let found = classes
-            .merge_candidates()
-            .any(|(node, rep)| node == redundant.node() && rep == expect);
-        assert!(found, "or(a, a&b) must be a candidate for a: {classes:?}");
+        assert!(
+            same_function(&classes, redundant, a),
+            "or(a, a&b) must be a candidate for a: {classes:?}"
+        );
     }
 
     #[test]
@@ -342,10 +316,10 @@ mod tests {
         if nx == !x {
             return; // structural hashing already related them
         }
-        let found = classes
-            .merge_candidates()
-            .any(|(node, rep)| node == nx.node() && rep.node() == x.node());
-        assert!(found, "xnor must be a candidate for !xor: {classes:?}");
+        assert!(
+            same_function(&classes, nx, !x),
+            "xnor must be a candidate for !xor: {classes:?}"
+        );
     }
 
     #[test]
@@ -362,10 +336,10 @@ mod tests {
         g.add_output(z);
         let pool = PatternPool::new(2, 2, 5);
         let classes = CandidateClasses::compute(&g, &pool);
-        let found = classes
-            .merge_candidates()
-            .any(|(node, rep)| node == z.node() && rep == AigLit::FALSE);
-        assert!(found, "and(a,b)&and(a,!b) must be a const-0 candidate");
+        assert!(
+            same_function(&classes, z, AigLit::FALSE),
+            "and(a,b)&and(a,!b) must be a const-0 candidate"
+        );
     }
 
     #[test]
@@ -385,9 +359,9 @@ mod tests {
         let mut pool = PatternPool::new(2, 1, 11);
         pool.add_pattern(&[true, true]); // or=1, xor=0: distinguishes
         let classes = CandidateClasses::compute(&g, &pool);
-        let collided = classes
-            .merge_candidates()
-            .any(|(node, rep)| node == x.node() && rep.node() == o.node());
+        let collided = classes.classes.iter().any(|c| {
+            c.iter().any(|l| l.node() == x.node()) && c.iter().any(|l| l.node() == o.node())
+        });
         assert!(!collided, "pattern (1,1) must split or from xor");
     }
 }

@@ -50,7 +50,7 @@ pub use aig::{Aig, AigNode};
 pub use cone::Cone;
 pub use cube::{Cube, CubeLit, Sop};
 pub use factor::factor_sop;
-pub use fraig::{CandidateClasses, PatternPool, SweepCandidate};
+pub use fraig::{CandidateClasses, PatternPool};
 pub use isop::isop_between;
 pub use lit::{AigLit, NodeId};
 pub use sim::{TooManyInputsError, MAX_EXHAUSTIVE_INPUTS};

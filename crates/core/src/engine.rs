@@ -113,13 +113,15 @@ pub struct EcoOptions {
     /// [`EcoOptions::per_call_conflicts`] (the historical behavior is
     /// the default factor of 8).
     pub verify_budget_factor: u64,
-    /// Worker threads for the parallel backend (`1` = fully
-    /// sequential; `0` is treated as `1`). The *algorithm* — which
-    /// targets are batched, which assignments each subproblem sees,
-    /// per-call budgets, verification sweep partitioning — is identical
-    /// at every value; only thread placement changes, so patches,
-    /// dispositions, and run-level metric totals are invariant across
-    /// `jobs` (worker attribution and wall-clock times are not).
+    /// Threading of independent-target batches (`1` = fully
+    /// sequential; `0` is treated as `1`). At `jobs > 1` the members of
+    /// a batch — targets whose output cones are disjoint — are solved
+    /// on scoped threads, one per member, attributed to worker
+    /// `slot % jobs`. Sequential steps, the degradation ladder, and
+    /// verification always run on the calling thread. Which targets are
+    /// batched and every SAT query are the same at every value, so
+    /// patches, dispositions, and run-level metric totals are invariant
+    /// across `jobs` (worker attribution and wall-clock times are not).
     pub jobs: usize,
     /// SAT sweeping (fraig): attach a simulation-based infeasibility
     /// oracle to each target's support solver and run the final
@@ -563,9 +565,10 @@ impl EcoEngine {
     /// of what they depend on, so hits return byte-identical results.
     ///
     /// Cache reuse across runs is deterministic at `jobs == 1`; at
-    /// higher job counts the racing ladder may populate the CNF layer
-    /// in a thread-dependent order, so byte-stable *event streams*
-    /// across warm runs are only guaranteed single-threaded.
+    /// higher job counts batch members store their CNF and target
+    /// entries in thread completion order, which can change what an
+    /// LRU layer under capacity pressure evicts, so byte-stable *event
+    /// streams* across warm runs are only guaranteed single-threaded.
     pub fn with_cache(mut self, cache: EcoCache) -> EcoEngine {
         self.cache = Some(cache);
         self
@@ -644,6 +647,9 @@ impl EcoEngine {
     /// optional [`EcoCache`] keys on. Build one with
     /// [`EcoProblem::snapshot`] or [`ProblemSnapshot::new`].
     ///
+    /// The flow runs as four stages, each inside its phase span:
+    /// sufficiency check → windowing → patch loop → verification.
+    ///
     /// # Errors
     ///
     /// - [`EcoError::TargetsInsufficient`] when expression (1) is SAT.
@@ -655,11 +661,73 @@ impl EcoEngine {
     pub fn solve(&self, snapshot: &ProblemSnapshot) -> Result<EcoOutcome, EcoError> {
         let t0 = Instant::now();
         let problem: &EcoProblem = snapshot.problem();
-        let opts = &self.options;
+        let governor = self.run_governor();
+        let gov = governor.as_ref();
+        let mut trips = TripLog::default();
+        let (obs, metrics_sink) = self.run_observers();
+        obs.emit(|| EcoEvent::RunStarted {
+            num_targets: problem.targets.len(),
+            per_call_conflicts: self.options.per_call_conflicts,
+            jobs: self.options.jobs.max(1),
+        });
+        if let Some(request_id) = &self.request_id {
+            obs.emit(|| EcoEvent::RequestTagged {
+                request_id: request_id.clone(),
+            });
+        }
 
-        // An explicit governor wins; otherwise build one from the
-        // options, or run ungoverned when no limit is configured.
-        let governor: Option<ResourceGovernor> = self.governor.clone().or_else(|| {
+        let certificates = in_phase(&obs, Phase::SufficiencyCheck, || {
+            self.check_sufficiency(problem, gov, &mut trips, &obs)
+        })?;
+        let window = in_phase(&obs, Phase::Windowing, || Ok(self.windowed(snapshot, &obs)))?;
+        let patched = in_phase(&obs, Phase::PatchGeneration, || {
+            self.patch_targets(
+                problem,
+                &window,
+                certificates.as_deref(),
+                gov,
+                &mut trips,
+                &obs,
+            )
+        })?;
+        let verified = in_phase(&obs, Phase::Verification, || {
+            self.verify(problem, &patched, gov, &mut trips, &obs)
+        })?;
+
+        obs.emit(|| EcoEvent::RunFinished {
+            elapsed: t0.elapsed(),
+        });
+        let metrics =
+            metrics_sink.and_then(|sink| sink.lock().ok().map(|guard| guard.metrics().clone()));
+        let PatchedRun {
+            implementation,
+            reports,
+            applied,
+            ..
+        } = patched;
+        let total_cost = reports.iter().map(|r| r.cost).sum();
+        let total_gates = reports.iter().map(|r| r.gates).sum();
+        Ok(EcoOutcome {
+            patched_implementation: implementation,
+            reports,
+            total_cost,
+            total_gates,
+            verified,
+            elapsed: t0.elapsed(),
+            qbf_certificates: certificates.as_ref().map_or(0, Vec::len),
+            patches: applied,
+            metrics,
+            governor_trip: gov.and_then(ResourceGovernor::trip),
+            fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
+        })
+    }
+
+    /// The run's governor: an explicit one wins; otherwise one is built
+    /// from the options, or the run is ungoverned when no limit is
+    /// configured.
+    fn run_governor(&self) -> Option<ResourceGovernor> {
+        let opts = &self.options;
+        self.governor.clone().or_else(|| {
             (opts.timeout.is_some()
                 || opts.global_conflicts.is_some()
                 || opts.global_propagations.is_some()
@@ -672,499 +740,143 @@ impl EcoEngine {
                     fault_plan: opts.fault_plan.clone(),
                 })
             })
-        });
-        let gov = governor.as_ref();
-        let mut trips = TripLog::default();
+        })
+    }
 
+    /// The run's observer handle, plus the metrics aggregator feeding
+    /// [`EcoOutcome::metrics`] when [`EcoEngine::with_metrics`] is on.
+    fn run_observers(&self) -> (ObserverHandle, Option<Arc<Mutex<MetricsObserver>>>) {
         let mut sinks = self.observers.clone();
-        let metrics_sink = if self.collect_metrics {
+        let metrics_sink = self.collect_metrics.then(|| {
             let sink = Arc::new(Mutex::new(MetricsObserver::new()));
             sinks.push(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
-            Some(sink)
-        } else {
-            None
-        };
-        let obs = ObserverHandle::new(sinks);
-        let jobs = opts.jobs.max(1);
-        obs.emit(|| EcoEvent::RunStarted {
-            num_targets: problem.targets.len(),
-            per_call_conflicts: opts.per_call_conflicts,
-            jobs,
+            sink
         });
-        if let Some(request_id) = &self.request_id {
-            obs.emit(|| EcoEvent::RequestTagged {
-                request_id: request_id.clone(),
-            });
-        }
+        (ObserverHandle::new(sinks), metrics_sink)
+    }
 
-        // Phase 1: verify the target set is sufficient (Sec. 3.2).
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::SufficiencyCheck,
-        });
-        let phase_t = Instant::now();
-        let certificates: Option<Vec<Vec<bool>>> = match check_targets_sufficient_observed(
+    /// Stage 1: verifies the target set is sufficient (Sec. 3.2).
+    /// Returns the QBF certificates, or `None` when the check was
+    /// inconclusive and the run goes on anyway (the final verification
+    /// guards the result).
+    fn check_sufficiency(
+        &self,
+        problem: &EcoProblem,
+        governor: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<Option<Vec<Vec<bool>>>, EcoError> {
+        let opts = &self.options;
+        match check_targets_sufficient_observed(
             problem,
             opts.qbf_max_iterations,
             opts.per_call_conflicts,
-            &obs,
-            gov,
+            obs,
+            governor,
         ) {
-            QbfOutcome::Solvable { certificates, .. } => Some(certificates),
-            QbfOutcome::Unsolvable { witness } => {
-                return Err(EcoError::TargetsInsufficient { witness })
-            }
+            QbfOutcome::Solvable { certificates, .. } => Ok(Some(certificates)),
+            QbfOutcome::Unsolvable { witness } => Err(EcoError::TargetsInsufficient { witness }),
             QbfOutcome::Unknown => {
-                trips.note(&obs, gov);
+                trips.note(obs, governor);
                 if opts.structural_fallback {
-                    None // assume solvable; final verification guards
+                    Ok(None)
                 } else {
-                    return Err(classify_error(
+                    Err(classify_error(
                         EcoError::budget_exhausted("sufficiency check"),
-                        gov,
-                    ));
+                        governor,
+                    ))
                 }
-            }
-        };
-        let qbf_certificates = certificates.as_ref().map_or(0, Vec::len);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::SufficiencyCheck,
-            elapsed: phase_t.elapsed(),
-        });
-
-        // Phase 2: structural pruning over the original target set
-        // (Sec. 3.3). The window is fixed for the whole run so the
-        // per-step Herbrand argument applies to one output set.
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::Windowing,
-        });
-        let phase_t = Instant::now();
-        let window = self.windowed(snapshot, &obs);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::Windowing,
-            elapsed: phase_t.elapsed(),
-        });
-
-        // Incremental verification sweeps (wave 0): outputs outside the
-        // window are target-free from the start, so they can be checked
-        // against the original implementation — and, at `jobs > 1`,
-        // concurrently with the patch solves below.
-        let spec = Arc::new(problem.specification.clone());
-        let num_outputs = problem.implementation.num_outputs();
-        let mut sweeps = SweepQueue::default();
-        // Outputs not yet handed to a sweep wave.
-        let mut pending_outputs = vec![true; num_outputs];
-        // Enqueueing stops as soon as a target is skipped: the netlist
-        // is then inequivalent by construction and the run reports
-        // `verified == false` without spending sweep budget.
-        let mut sweeping = opts.verify;
-        if sweeping {
-            let wave0: Vec<usize> = (0..num_outputs)
-                .filter(|i| window.outputs.binary_search(i).is_err())
-                .collect();
-            for &o in &wave0 {
-                pending_outputs[o] = false;
-            }
-            self.enqueue_sweep_wave(
-                &mut sweeps.execs,
-                problem.implementation.clone(),
-                wave0,
-                &spec,
-                opts,
-                gov,
-                &obs,
-            );
-        }
-
-        // Phase 3: independent targets as a batch when their output
-        // cones are disjoint, otherwise one target at a time (Sec. 3.1).
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::PatchGeneration,
-        });
-        let phase_t = Instant::now();
-        let mut work = problem.clone();
-        let mut remaining_original: Vec<usize> = (0..work.targets.len()).collect();
-        let mut reports: Vec<TargetPatchReport> = Vec::new();
-        let mut applied: Vec<AppliedPatch> = Vec::new();
-        // Identity of each work node in the original implementation.
-        let mut orig_of: Vec<Option<NodeId>> = (0..work.implementation.num_nodes())
-            .map(|i| Some(NodeId::from_index(i)))
-            .collect();
-
-        while !work.targets.is_empty() {
-            // Disjoint-output targets form an independent batch: each is
-            // a standalone single-target subproblem against the shared
-            // snapshot, solved concurrently at `jobs > 1` and committed
-            // in one substitution. The partition is purely structural,
-            // so it is identical at every job count.
-            let batch = independent_targets(&work.implementation, &work.targets);
-            if batch.len() >= 2 {
-                let per_outputs = per_target_outputs(&work.implementation, &work.targets);
-                let member_windows: Vec<Window> = batch
-                    .iter()
-                    .map(|&pos| Window {
-                        outputs: per_outputs[pos].clone(),
-                        inputs: window.inputs.clone(),
-                        divisors: Vec::new(),
-                    })
-                    .collect();
-                // One arbitrary constant assignment for the other
-                // targets: none of them reaches a member's outputs, so
-                // the quantification is exact (see
-                // [`EcoEngine::solve_batch_member`]).
-                let initial = vec![vec![false; work.targets.len() - 1]];
-                let mut member_results: Vec<MemberSolve> = Vec::with_capacity(batch.len());
-                if jobs > 1 {
-                    let mut sinks: Vec<Option<BufferSink>> = Vec::with_capacity(batch.len());
-                    let work_ref = &work;
-                    std::thread::scope(|s| {
-                        let mut handles = Vec::with_capacity(batch.len());
-                        for (slot, &pos) in batch.iter().enumerate() {
-                            let (member_obs, sink) = buffered_handle(obs.is_active());
-                            sinks.push(sink);
-                            let member_window = &member_windows[slot];
-                            let original_index = remaining_original[pos];
-                            let worker = slot % jobs;
-                            let member_gov = governor.clone();
-                            let initial = initial.clone();
-                            handles.push(s.spawn(move || {
-                                self.solve_batch_member(
-                                    work_ref,
-                                    member_window,
-                                    &initial,
-                                    pos,
-                                    original_index,
-                                    worker,
-                                    opts,
-                                    member_gov.as_ref(),
-                                    &member_obs,
-                                )
-                            }));
-                        }
-                        for handle in handles {
-                            member_results.push(join_worker(handle.join()));
-                        }
-                    });
-                    // Replay each member's events in slot order: one
-                    // total order, identical (up to worker ids and
-                    // timestamps) to a serial run of the same batch.
-                    for sink in sinks {
-                        replay_buffer(&obs, sink);
-                    }
-                } else {
-                    for (slot, &pos) in batch.iter().enumerate() {
-                        member_results.push(self.solve_batch_member(
-                            &work,
-                            &member_windows[slot],
-                            &initial,
-                            pos,
-                            remaining_original[pos],
-                            slot % jobs,
-                            opts,
-                            gov,
-                            &obs,
-                        ));
-                    }
-                }
-                let mut patches_by_pos: HashMap<usize, NodePatch> = HashMap::new();
-                let mut drop_positions: HashSet<usize> = HashSet::new();
-                let mut member_reports: Vec<TargetPatchReport> = Vec::new();
-                for (&pos, (ladder, spent)) in batch.iter().zip(member_results) {
-                    match ladder? {
-                        Ok((patch, report)) => {
-                            // Record the applied patch before metadata
-                            // remapping.
-                            applied.push(AppliedPatch {
-                                target_index: remaining_original[pos],
-                                aig: patch.aig.clone(),
-                                support: patch.support.clone(),
-                                original_support: patch
-                                    .support
-                                    .iter()
-                                    .map(|l| orig_of[l.node().index()])
-                                    .collect(),
-                            });
-                            patches_by_pos.insert(pos, patch);
-                            member_reports.push(report);
-                        }
-                        Err(reason) => {
-                            // Skipped: the member keeps its original
-                            // function; the failure stays isolated.
-                            reports.push(TargetPatchReport {
-                                target_index: remaining_original[pos],
-                                kind: PatchKind::Skipped,
-                                disposition: TargetDisposition::Skipped { reason },
-                                support_size: 0,
-                                cost: 0,
-                                gates: 0,
-                                cubes: None,
-                                sat_calls: spent,
-                                prune: None,
-                            });
-                            drop_positions.insert(pos);
-                        }
-                    }
-                }
-                commit_patches(
-                    &mut work,
-                    &mut remaining_original,
-                    &mut orig_of,
-                    patches_by_pos,
-                    &drop_positions,
-                    &mut reports,
-                )?;
-                reports.extend(member_reports);
-                if !drop_positions.is_empty() {
-                    sweeping = false;
-                }
-            } else {
-                // Sequential step on the head target — the paper's
-                // substitution order, used whenever output cones
-                // overlap.
-                let original_index = remaining_original[0];
-                let r = work.targets.len() - 1;
-                let exact = r <= opts.exact_quantification_threshold;
-                let assignments: Vec<Vec<bool>> = if r == 0 {
-                    Vec::new()
-                } else if exact {
-                    all_assignments(r)
-                } else {
-                    let projected = project_certificates(
-                        certificates.as_deref().unwrap_or(&[]),
-                        &remaining_original[1..],
-                    );
-                    if projected.is_empty() {
-                        vec![vec![false; r]]
-                    } else {
-                        projected
-                    }
-                };
-
-                let target_t = Instant::now();
-                obs.emit(|| EcoEvent::TargetStarted {
-                    target_index: original_index,
-                    worker: 0,
-                });
-                // SAT calls spent on this target so far, across failed
-                // attempts: carried into the fallback report so events
-                // and counters stay reconciled.
-                let mut spent = 0u64;
-                let solve_key = self
-                    .cache
-                    .as_ref()
-                    .map(|_| target_solve_key(&work, &window, &assignments, exact, 0, opts));
-                let cached = match (&self.cache, solve_key) {
-                    (Some(cache), Some(key)) => {
-                        let hit = cache.get_solve(key);
-                        let is_hit = hit.is_some();
-                        obs.emit(|| EcoEvent::CacheQuery {
-                            layer: CacheLayer::Target,
-                            hit: is_hit,
-                        });
-                        hit
-                    }
-                    _ => None,
-                };
-                let from_cache = cached.is_some();
-                let ladder = if let Some(cached) = cached {
-                    let mut report = cached.report;
-                    report.target_index = original_index;
-                    // Served from cache: this run spent no solver work.
-                    report.sat_calls = 0;
-                    Ok((cached.patch, report))
-                } else if jobs > 1 && opts.structural_fallback {
-                    self.patch_with_ladder_racing(
-                        &work,
-                        &window,
-                        &assignments,
-                        exact,
-                        original_index,
-                        &mut spent,
-                        opts,
-                        gov,
-                        &mut trips,
-                        &obs,
-                    )?
-                } else {
-                    self.patch_with_ladder(
-                        &work,
-                        &window,
-                        &assignments,
-                        exact,
-                        0,
-                        original_index,
-                        &mut spent,
-                        opts,
-                        gov,
-                        &mut trips,
-                        &obs,
-                    )?
-                };
-                match ladder {
-                    Ok((patch, report)) => {
-                        if !from_cache {
-                            if let (Some(cache), Some(key)) = (&self.cache, solve_key) {
-                                if solve_is_cacheable(&report, gov) {
-                                    cache.put_solve(
-                                        key,
-                                        CachedSolve {
-                                            patch: patch.clone(),
-                                            report: report.clone(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        obs.emit(|| EcoEvent::TargetFinished {
-                            target_index: original_index,
-                            worker: 0,
-                            sat_calls: report.sat_calls,
-                            prune: report.prune,
-                            elapsed: target_t.elapsed(),
-                        });
-                        // Record the applied patch before metadata
-                        // remapping.
-                        applied.push(AppliedPatch {
-                            target_index: original_index,
-                            aig: patch.aig.clone(),
-                            support: patch.support.clone(),
-                            original_support: patch
-                                .support
-                                .iter()
-                                .map(|l| orig_of[l.node().index()])
-                                .collect(),
-                        });
-                        let mut patches_by_pos = HashMap::new();
-                        patches_by_pos.insert(0usize, patch);
-                        commit_patches(
-                            &mut work,
-                            &mut remaining_original,
-                            &mut orig_of,
-                            patches_by_pos,
-                            &HashSet::new(),
-                            &mut reports,
-                        )?;
-                        reports.push(report);
-                    }
-                    Err(reason) => {
-                        // Skipped: leave the target's original function
-                        // in place (no substitution) and move on,
-                        // isolating the failure to this one target.
-                        reports.push(TargetPatchReport {
-                            target_index: original_index,
-                            kind: PatchKind::Skipped,
-                            disposition: TargetDisposition::Skipped { reason },
-                            support_size: 0,
-                            cost: 0,
-                            gates: 0,
-                            cubes: None,
-                            sat_calls: spent,
-                            prune: None,
-                        });
-                        obs.emit(|| EcoEvent::TargetFinished {
-                            target_index: original_index,
-                            worker: 0,
-                            sat_calls: spent,
-                            prune: None,
-                            elapsed: target_t.elapsed(),
-                        });
-                        let mut drop_head = HashSet::new();
-                        drop_head.insert(0usize);
-                        commit_patches(
-                            &mut work,
-                            &mut remaining_original,
-                            &mut orig_of,
-                            HashMap::new(),
-                            &drop_head,
-                            &mut reports,
-                        )?;
-                        sweeping = false;
-                    }
-                }
-            }
-
-            // Outputs no remaining target reaches are final: hand them
-            // to the verification sweeps against the current snapshot.
-            if sweeping && pending_outputs.iter().any(|&p| p) {
-                let fanouts = work.implementation.fanouts();
-                let reached = work
-                    .implementation
-                    .tfo_mask(work.targets.iter().copied(), &fanouts);
-                let freed: Vec<usize> = work
-                    .implementation
-                    .outputs()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(o, out)| pending_outputs[o] && !reached[out.node().index()])
-                    .map(|(o, _)| o)
-                    .collect();
-                for &o in &freed {
-                    pending_outputs[o] = false;
-                }
-                self.enqueue_sweep_wave(
-                    &mut sweeps.execs,
-                    work.implementation.clone(),
-                    freed,
-                    &spec,
-                    opts,
-                    gov,
-                    &obs,
-                );
             }
         }
+    }
 
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::PatchGeneration,
-            elapsed: phase_t.elapsed(),
-        });
-
-        // Phase 4: verification.
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::Verification,
-        });
-        let phase_t = Instant::now();
-        // A skipped target leaves the implementation inequivalent by
-        // construction, and a hard-tripped governor has no time left:
-        // in both cases skip the check so the run still returns an
-        // anytime outcome (with `verified == false`).
-        let any_skipped = reports.iter().any(|r| !r.disposition.is_patched());
-        let hard_tripped = gov.is_some_and(|g| g.hard_trip().is_some());
-        let verified = if opts.verify && !any_skipped && !hard_tripped {
-            self.drain_sweeps(sweeps.take(), &spec, opts, gov, &obs)?
-        } else {
-            // The sweeps' verdicts can no longer matter; cancel any
-            // still running and drop their buffered events, so a run
-            // that skips verification has the same event stream at
+    /// Stage 3: the patch loop (Sec. 3.1). Targets whose output cones
+    /// are disjoint are solved as one independent batch; otherwise the
+    /// head target is solved alone, in the paper's substitution order.
+    /// Each step's patches are substituted before the next step. The
+    /// window (stage 2) is fixed for the whole run so the per-step
+    /// Herbrand argument applies to one output set.
+    fn patch_targets(
+        &self,
+        problem: &EcoProblem,
+        window: &Window,
+        certificates: Option<&[Vec<bool>]>,
+        governor: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<PatchedRun, EcoError> {
+        let mut state = PatchLoop::new(problem);
+        let mut waves = VerificationWaves::new(problem, window, self.options.verify);
+        while !state.work.targets.is_empty() {
+            // The partition is purely structural, so it is identical at
             // every job count.
-            discard_sweeps(sweeps.take());
-            false
-        };
-        trips.note(&obs, gov);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::Verification,
-            elapsed: phase_t.elapsed(),
-        });
-
-        obs.emit(|| EcoEvent::RunFinished {
-            elapsed: t0.elapsed(),
-        });
-        let metrics =
-            metrics_sink.and_then(|sink| sink.lock().ok().map(|guard| guard.metrics().clone()));
-
-        let total_cost = reports.iter().map(|r| r.cost).sum();
-        let total_gates = reports.iter().map(|r| r.gates).sum();
-        Ok(EcoOutcome {
-            patched_implementation: work.implementation,
-            reports,
-            total_cost,
-            total_gates,
-            verified,
-            elapsed: t0.elapsed(),
-            qbf_certificates,
-            patches: applied,
-            metrics,
-            governor_trip: gov.and_then(ResourceGovernor::trip),
-            fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
+            let batch = independent_targets(&state.work.implementation, &state.work.targets);
+            let skipped = if batch.len() >= 2 {
+                let steps = self.solve_batch(&state, &batch, window, governor, obs);
+                state.commit(&batch, steps)?
+            } else {
+                let head = head_subproblem(&self.options, &state, window, certificates);
+                let step = self.solve_target(&state.work, &head, governor, trips, obs);
+                state.commit(&[0], vec![step])?
+            };
+            if skipped {
+                waves.close();
+            }
+            waves.queue_freed(&state.work);
+        }
+        Ok(PatchedRun {
+            implementation: state.work.implementation,
+            reports: state.reports,
+            applied: state.applied,
+            waves: waves.waves,
         })
+    }
+
+    /// Stage 4: verification. Checks the waves queued during the patch
+    /// loop chunk by chunk, in queue order: the first counterexample
+    /// aborts the run, any `Unknown` demotes it to unverified. A skipped
+    /// target leaves the implementation inequivalent by construction,
+    /// and a hard-tripped governor has no time left: in both cases the
+    /// check is skipped so the run still returns an anytime outcome
+    /// (with `verified == false`).
+    fn verify(
+        &self,
+        problem: &EcoProblem,
+        patched: &PatchedRun,
+        governor: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<bool, EcoError> {
+        let opts = &self.options;
+        let any_skipped = patched.reports.iter().any(|r| !r.disposition.is_patched());
+        let hard_tripped = governor.is_some_and(|g| g.hard_trip().is_some());
+        let mut verified = opts.verify && !any_skipped && !hard_tripped;
+        if verified {
+            let budget = opts
+                .per_call_conflicts
+                .map(|c| c.saturating_mul(opts.verify_budget_factor));
+            for wave in &patched.waves {
+                for chunk in wave.outputs.chunks(SWEEP_CHUNK) {
+                    match verify_chunk(
+                        &wave.snapshot,
+                        &problem.specification,
+                        chunk,
+                        budget,
+                        obs,
+                        governor,
+                        opts.sweep,
+                    ) {
+                        CecResult::Equivalent => {}
+                        CecResult::Unknown => verified = false,
+                        CecResult::Counterexample(counterexample) => {
+                            return Err(EcoError::VerificationFailed { counterexample })
+                        }
+                    }
+                }
+            }
+        }
+        trips.note(obs, governor);
+        Ok(verified)
     }
 
     /// Runs the per-target degradation ladder for `work.targets[pos]`:
@@ -1173,9 +885,9 @@ impl EcoEngine {
     /// the target.
     ///
     /// Each rung starts from a private clone of the *initial*
-    /// `assignments` (rung 1's quantification refinements never leak
-    /// into rung 2), which keeps this ladder's results identical to the
-    /// racing variant's.
+    /// `assignments`: rung 1's quantification refinements never leak
+    /// into rung 2, so every rung solves the subproblem the target's
+    /// cache key describes.
     ///
     /// The outer `Err` aborts the whole run: non-resource errors
     /// always, resource errors only when
@@ -1318,20 +1030,6 @@ impl EcoEngine {
         Ok(Err(skip_reason_for(&first_err, governor)))
     }
 
-    /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
-    /// quantification refinement when approximate), support
-    /// computation, cube enumeration, factoring.
-    ///
-    /// `spent` accumulates every SAT call made on behalf of this
-    /// target — including calls from refinement iterations whose
-    /// support solver is discarded, and calls made before an error —
-    /// so the final report (or the structural-fallback report built
-    /// from `spent` after an `Err`) matches the emitted
-    /// [`EcoEvent::SatCall`] stream exactly.
-    /// `opts` is passed explicitly (not read from `self`) so the
-    /// degradation ladder can re-run the attempt with reduced-effort
-    /// settings.
-    #[allow(clippy::too_many_arguments)]
     /// Computes (or cache-loads) the run-wide window. The key covers
     /// everything [`compute_window`] reads: the implementation
     /// representation, the target list, and the canonical spec cones
@@ -1436,6 +1134,19 @@ impl EcoEngine {
         cache.put_witnesses(key, Arc::new(witnesses.to_vec()));
     }
 
+    /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
+    /// quantification refinement when approximate), support
+    /// computation, cube enumeration, factoring.
+    ///
+    /// `spent` accumulates every SAT call made on behalf of this
+    /// target — including calls from refinement iterations whose
+    /// support solver is discarded, and calls made before an error —
+    /// so the final report (or the structural-fallback report built
+    /// from `spent` after an `Err`) matches the emitted
+    /// [`EcoEvent::SatCall`] stream exactly.
+    /// `opts` is passed explicitly (not read from `self`) so the
+    /// degradation ladder can re-run the attempt with reduced-effort
+    /// settings.
     #[allow(clippy::too_many_arguments)]
     fn sat_patch_for_target(
         &self,
@@ -1824,442 +1535,173 @@ impl EcoEngine {
         }
     }
 
-    /// Racing variant of [`EcoEngine::patch_with_ladder`] for the head
-    /// target (`jobs > 1` with the structural fallback on): the three
-    /// rungs start concurrently, each on a private clone of the initial
-    /// `assignments`, and the coordinator joins them *in ladder order*,
-    /// keeping the first rung that the sequential ladder would have
-    /// kept. Losing rungs are cancelled through child governors and
-    /// their buffered events dropped, so the winning patch, the
-    /// disposition, the event stream, and the metric totals all match
-    /// the sequential ladder's (worker placement and wall-clock aside).
+    /// One step of the patch loop for one target: looks the solved
+    /// target up in the cache, runs the degradation ladder on a miss,
+    /// and stores a cacheable result. The head target of a sequential
+    /// step and every batch member go through here.
     ///
-    /// Under a [`ResourceGovernor`] with shared pools or a
-    /// [`FaultPlan`], speculative rungs draw calls the sequential
-    /// ladder would not make; runs remain total and anytime, but the
-    /// chosen rung may differ — the documented determinism guarantee
-    /// covers per-call budgets.
-    #[allow(clippy::too_many_arguments)]
-    fn patch_with_ladder_racing(
+    /// Emits the target's `TargetStarted`/`TargetFinished` span; the
+    /// latter only when the ladder reached a verdict rather than
+    /// aborting the run.
+    fn solve_target(
         &self,
         work: &EcoProblem,
-        window: &Window,
-        assignments: &[Vec<bool>],
-        exact: bool,
-        original_index: usize,
-        spent: &mut u64,
-        opts: &EcoOptions,
+        sub: &Subproblem<'_>,
         governor: Option<&ResourceGovernor>,
         trips: &mut TripLog,
         obs: &ObserverHandle,
-    ) -> Result<Result<(NodePatch, TargetPatchReport), String>, EcoError> {
-        // Rung 0, exactly as in the sequential ladder: nothing can help
-        // after a deadline/cancellation trip.
-        if let Some(reason) = governor.and_then(ResourceGovernor::hard_trip) {
-            trips.note(obs, governor);
-            obs.emit(|| EcoEvent::LadderStep {
-                target_index: original_index,
-                rung: LadderRung::Skipped,
-            });
-            return Ok(Err(reason.name().to_string()));
-        }
-
-        // Rung 1 always runs to completion (it is joined first), so it
-        // keeps the run governor; the speculative rungs get child
-        // governors the coordinator can cancel.
-        let run_gov = governor.cloned();
-        let r2_cancel = speculative_governor(governor);
-        let r3_cancel = speculative_governor(governor);
-        std::thread::scope(|s| {
-            let (r1_obs, r1_sink) = buffered_handle(obs.is_active());
-            let r1 = s.spawn(move || {
-                let mut rung_spent = 0u64;
-                let mut rung_assignments = assignments.to_vec();
-                let result = self.sat_patch_for_target(
-                    work,
-                    window,
-                    &mut rung_assignments,
-                    exact,
-                    0,
-                    original_index,
-                    &mut rung_spent,
-                    opts,
-                    run_gov.as_ref(),
-                    &r1_obs,
-                );
-                (result, rung_spent)
-            });
-            let r2 = opts.degraded_retry.then(|| {
-                let (r2_obs, r2_sink) = buffered_handle(obs.is_active());
-                let rung_gov = r2_cancel.clone();
-                let reduced = reduced_options(opts);
-                let handle = s.spawn(move || {
-                    let mut rung_spent = 0u64;
-                    let mut rung_assignments = assignments.to_vec();
-                    let result = self.sat_patch_for_target(
-                        work,
-                        window,
-                        &mut rung_assignments,
-                        exact,
-                        0,
-                        original_index,
-                        &mut rung_spent,
-                        &reduced,
-                        Some(&rung_gov),
-                        &r2_obs,
-                    );
-                    (result, rung_spent)
-                });
-                (handle, r2_sink)
-            });
-            let (r3_obs, r3_sink) = buffered_handle(obs.is_active());
-            let rung_gov = r3_cancel.clone();
-            let r3 = s.spawn(move || {
-                self.structural_patch_for_target(
-                    work,
-                    window,
-                    assignments,
-                    0,
-                    original_index,
-                    0,
-                    opts,
-                    Some(&rung_gov),
-                    &r3_obs,
-                )
-                .or_else(|e| {
-                    // Mirror the sequential ladder's internal retry:
-                    // when CEGAR_min runs out of resources, fall back
-                    // to the plain (SAT-free) cofactor patch.
-                    if e.is_resource_exhausted() && opts.cegar_min && rung_gov.hard_trip().is_none()
-                    {
-                        let mut plain = opts.clone();
-                        plain.cegar_min = false;
-                        self.structural_patch_for_target(
-                            work,
-                            window,
-                            assignments,
-                            0,
-                            original_index,
-                            0,
-                            &plain,
-                            Some(&rung_gov),
-                            &r3_obs,
-                        )
-                    } else {
-                        Err(e)
-                    }
-                })
-            });
-
-            let discard =
-                |r2: Option<(std::thread::ScopedJoinHandle<'_, _>, _)>,
-                 r3: Option<std::thread::ScopedJoinHandle<'_, _>>| {
-                    r2_cancel.cancel();
-                    r3_cancel.cancel();
-                    if let Some((handle, _sink)) = r2 {
-                        let _ = join_worker(handle.join());
-                    }
-                    if let Some(handle) = r3 {
-                        let _ = join_worker(handle.join());
-                    }
-                };
-
-            // Rung 1 decision.
-            let (result1, spent1) = join_worker(r1.join());
-            *spent += spent1;
-            replay_buffer(obs, r1_sink);
-            let first_err = match result1 {
-                Ok(ok) => {
-                    discard(r2, Some(r3));
-                    return Ok(Ok(ok));
-                }
-                Err(e) if e.is_resource_exhausted() => {
-                    trips.note(obs, governor);
-                    e
-                }
-                Err(e) => {
-                    discard(r2, Some(r3));
-                    return Err(classify_error(e, governor));
-                }
-            };
-
-            // Rung 2 decision.
-            if let Some((handle, sink)) = r2 {
-                if governor.and_then(ResourceGovernor::hard_trip).is_none() {
-                    obs.emit(|| EcoEvent::LadderStep {
-                        target_index: original_index,
-                        rung: LadderRung::DegradedRetry,
-                    });
-                    let (result2, spent2) = join_worker(handle.join());
-                    *spent += spent2;
-                    replay_buffer(obs, sink);
-                    match result2 {
-                        Ok((patch, mut report)) => {
-                            discard(None, Some(r3));
-                            report.disposition = TargetDisposition::Degraded;
-                            report.sat_calls = *spent;
-                            return Ok(Ok((patch, report)));
-                        }
-                        Err(e) if e.is_resource_exhausted() => trips.note(obs, governor),
-                        Err(e) => {
-                            discard(None, Some(r3));
-                            return Err(classify_error(e, governor));
-                        }
-                    }
-                } else {
-                    discard(Some((handle, sink)), None);
-                }
-            }
-
-            // Rung 3 decision.
-            if governor.and_then(ResourceGovernor::hard_trip).is_none() {
-                obs.emit(|| EcoEvent::StructuralFallback {
-                    target_index: original_index,
-                });
-                obs.emit(|| EcoEvent::LadderStep {
-                    target_index: original_index,
-                    rung: LadderRung::Structural,
-                });
-                let result3 = join_worker(r3.join());
-                replay_buffer(obs, r3_sink);
-                match result3 {
-                    Ok((patch, mut report)) => {
-                        report.sat_calls += *spent;
-                        return Ok(Ok((patch, report)));
-                    }
-                    Err(e) if e.is_resource_exhausted() => trips.note(obs, governor),
-                    Err(e) => return Err(classify_error(e, governor)),
-                }
-            } else {
-                discard(None, Some(r3));
-            }
-
-            // Rung 4: give up on this target only.
-            trips.note(obs, governor);
-            obs.emit(|| EcoEvent::LadderStep {
-                target_index: original_index,
-                rung: LadderRung::Skipped,
-            });
-            Ok(Err(skip_reason_for(&first_err, governor)))
-        })
-    }
-
-    /// Solves one member of an independent batch as a standalone
-    /// single-target subproblem against the shared implementation
-    /// snapshot, running the sequential degradation ladder with a
-    /// thread-local trip log.
-    ///
-    /// The other targets are bound to one arbitrary constant
-    /// assignment. This is *exact*, not an approximation: none of them
-    /// reaches this member's window outputs, so the quantified miter
-    /// does not depend on their values — a patch valid under one
-    /// assignment is valid under all, and an infeasibility is genuine
-    /// at every job count. Candidate divisors exclude the union TFO of
-    /// all remaining targets, so the members' patches are mutually
-    /// independent and can be committed together.
-    ///
-    /// Returns the ladder verdict plus the SAT calls spent, emitting
-    /// the member's `TargetStarted`/`TargetFinished` span (the latter
-    /// only when the ladder reached a verdict rather than aborting the
-    /// run).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_batch_member(
-        &self,
-        work: &EcoProblem,
-        member_window: &Window,
-        initial: &[Vec<bool>],
-        pos: usize,
-        original_index: usize,
-        worker: usize,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        obs: &ObserverHandle,
-    ) -> MemberSolve {
+    ) -> TargetStep {
+        let opts = &self.options;
         let target_t = Instant::now();
         obs.emit(|| EcoEvent::TargetStarted {
-            target_index: original_index,
-            worker,
+            target_index: sub.original_index,
+            worker: sub.worker,
         });
+        // SAT calls spent on this target across failed rungs: carried
+        // into the skip report so events and counters stay reconciled.
         let mut spent = 0u64;
-        let mut trips = TripLog::default();
-        let solve_key = self
-            .cache
-            .as_ref()
-            .map(|_| target_solve_key(work, member_window, initial, true, pos, opts));
-        let cached = match (&self.cache, solve_key) {
-            (Some(cache), Some(key)) => {
-                let hit = cache.get_solve(key);
-                let is_hit = hit.is_some();
-                obs.emit(|| EcoEvent::CacheQuery {
-                    layer: CacheLayer::Target,
-                    hit: is_hit,
-                });
-                hit
+        let cache_slot = self.cache.as_ref().map(|cache| {
+            let key =
+                target_solve_key(work, sub.window, &sub.assignments, sub.exact, sub.pos, opts);
+            (cache, key)
+        });
+        let cached = cache_slot.and_then(|(cache, key)| {
+            let hit = cache.get_solve(key);
+            let is_hit = hit.is_some();
+            obs.emit(|| EcoEvent::CacheQuery {
+                layer: CacheLayer::Target,
+                hit: is_hit,
+            });
+            hit
+        });
+        let verdict = match cached {
+            Some(cached) => {
+                let mut report = cached.report;
+                report.target_index = sub.original_index;
+                // Served from cache: this run spent no solver work.
+                report.sat_calls = 0;
+                Ok(Ok((cached.patch, report)))
             }
-            _ => None,
-        };
-        let from_cache = cached.is_some();
-        let ladder = if let Some(cached) = cached {
-            let mut report = cached.report;
-            report.target_index = original_index;
-            // Served from cache: this run spent no solver work.
-            report.sat_calls = 0;
-            Ok(Ok((cached.patch, report)))
-        } else {
-            self.patch_with_ladder(
-                work,
-                member_window,
-                initial,
-                true,
-                pos,
-                original_index,
-                &mut spent,
-                opts,
-                governor,
-                &mut trips,
-                obs,
-            )
-        };
-        if !from_cache {
-            if let (Some(cache), Some(key), Ok(Ok((patch, report)))) =
-                (&self.cache, solve_key, &ladder)
-            {
-                if solve_is_cacheable(report, governor) {
-                    cache.put_solve(
-                        key,
-                        CachedSolve {
-                            patch: patch.clone(),
-                            report: report.clone(),
-                        },
-                    );
+            None => {
+                let verdict = self.patch_with_ladder(
+                    work,
+                    sub.window,
+                    &sub.assignments,
+                    sub.exact,
+                    sub.pos,
+                    sub.original_index,
+                    &mut spent,
+                    opts,
+                    governor,
+                    trips,
+                    obs,
+                );
+                if let (Some((cache, key)), Ok(Ok((patch, report)))) = (cache_slot, &verdict) {
+                    if solve_is_cacheable(report, governor) {
+                        cache.put_solve(
+                            key,
+                            CachedSolve {
+                                patch: patch.clone(),
+                                report: report.clone(),
+                            },
+                        );
+                    }
                 }
+                verdict
             }
-        }
-        if let Ok(verdict) = &ladder {
+        };
+        if let Ok(verdict) = &verdict {
             let (sat_calls, prune) = match verdict {
                 Ok((_, report)) => (report.sat_calls, report.prune),
                 Err(_) => (spent, None),
             };
             obs.emit(|| EcoEvent::TargetFinished {
-                target_index: original_index,
-                worker,
+                target_index: sub.original_index,
+                worker: sub.worker,
                 sat_calls,
                 prune,
                 elapsed: target_t.elapsed(),
             });
         }
-        (ladder, spent)
+        TargetStep { verdict, spent }
     }
 
-    /// Queues one wave of incremental verification sweeps for
-    /// `outputs`, chunked so large output spaces become many bounded
-    /// SAT queries. At `jobs == 1` the chunks are deferred and run
-    /// during the verification phase; at `jobs > 1` each chunk starts
-    /// immediately on its own thread, racing the remaining patch
-    /// solves. The chunking — and therefore the set of CEC queries —
-    /// depends only on the wave, never on the job count.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_sweep_wave(
+    /// Solves an independent batch (`batch` holds positions into
+    /// `state.work.targets`). Each member is a standalone single-target
+    /// subproblem against the shared snapshot, windowed to its own
+    /// outputs.
+    ///
+    /// The other targets are bound to one arbitrary constant
+    /// assignment. This is *exact*, not an approximation: none of them
+    /// reaches the member's window outputs, so the quantified miter
+    /// does not depend on their values — a patch valid under one
+    /// assignment is valid under all, and an infeasibility is genuine.
+    /// Candidate divisors exclude the union TFO of all open targets,
+    /// so the members' patches are mutually independent and can be
+    /// committed together.
+    ///
+    /// At `jobs > 1` each member runs on its own scoped thread; its
+    /// events are buffered and replayed in slot order, one total order
+    /// identical (up to worker ids and timestamps) to a serial run.
+    /// Every member keeps its own trip log at every job count.
+    fn solve_batch(
         &self,
-        sweeps: &mut Vec<SweepExec>,
-        snapshot: Aig,
-        outputs: Vec<usize>,
-        spec: &Arc<Aig>,
-        opts: &EcoOptions,
+        state: &PatchLoop,
+        batch: &[usize],
+        window: &Window,
         governor: Option<&ResourceGovernor>,
         obs: &ObserverHandle,
-    ) {
-        if outputs.is_empty() {
-            return;
+    ) -> Vec<TargetStep> {
+        let work = &state.work;
+        let jobs = self.options.jobs.max(1);
+        let per_outputs = per_target_outputs(&work.implementation, &work.targets);
+        let windows: Vec<Window> = batch
+            .iter()
+            .map(|&pos| Window {
+                outputs: per_outputs[pos].clone(),
+                inputs: window.inputs.clone(),
+                divisors: Vec::new(),
+            })
+            .collect();
+        let members: Vec<Subproblem<'_>> = batch
+            .iter()
+            .zip(&windows)
+            .enumerate()
+            .map(|(slot, (&pos, window))| Subproblem {
+                window,
+                assignments: vec![vec![false; work.targets.len() - 1]],
+                exact: true,
+                pos,
+                original_index: state.remaining_original[pos],
+                worker: slot % jobs,
+            })
+            .collect();
+        if jobs == 1 {
+            return members
+                .iter()
+                .map(|sub| self.solve_target(work, sub, governor, &mut TripLog::default(), obs))
+                .collect();
         }
-        let jobs = opts.jobs.max(1);
-        let snapshot = Arc::new(snapshot);
-        let budget = opts
-            .per_call_conflicts
-            .map(|c| c.saturating_mul(opts.verify_budget_factor));
-        for chunk in outputs.chunks(SWEEP_CHUNK) {
-            let task = SweepTask {
-                snapshot: snapshot.clone(),
-                outputs: chunk.to_vec(),
-            };
-            if jobs > 1 {
-                let cancel = speculative_governor(governor);
-                let worker_gov = cancel.clone();
-                let (sweep_obs, sink) = buffered_handle(obs.is_active());
-                let spec = spec.clone();
-                let sweep = opts.sweep;
-                let handle = std::thread::spawn(move || {
-                    verify_chunk(
-                        &task.snapshot,
-                        &spec,
-                        &task.outputs,
-                        budget,
-                        &sweep_obs,
-                        Some(&worker_gov),
-                        sweep,
-                    )
-                });
-                sweeps.push(SweepExec::Running {
-                    handle,
-                    sink,
-                    cancel,
-                });
-            } else {
-                sweeps.push(SweepExec::Deferred(task));
-            }
-        }
-    }
-
-    /// Runs (or joins) the queued verification sweeps in task order and
-    /// folds their verdicts: the first counterexample aborts the run,
-    /// any `Unknown` demotes it to unverified, all-equivalent verifies
-    /// it. Task order makes the fold independent of thread completion
-    /// order.
-    fn drain_sweeps(
-        &self,
-        sweeps: Vec<SweepExec>,
-        spec: &Arc<Aig>,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        obs: &ObserverHandle,
-    ) -> Result<bool, EcoError> {
-        let budget = opts
-            .per_call_conflicts
-            .map(|c| c.saturating_mul(opts.verify_budget_factor));
-        let mut verified = true;
-        let mut iter = sweeps.into_iter();
-        while let Some(exec) = iter.next() {
-            let verdict = match exec {
-                SweepExec::Deferred(task) => verify_chunk(
-                    &task.snapshot,
-                    spec,
-                    &task.outputs,
-                    budget,
-                    obs,
-                    governor,
-                    opts.sweep,
-                ),
-                SweepExec::Running { handle, sink, .. } => {
-                    let verdict = join_worker(handle.join());
-                    replay_buffer(obs, sink);
-                    verdict
-                }
-            };
-            match verdict {
-                CecResult::Equivalent => {}
-                CecResult::Unknown => verified = false,
-                CecResult::Counterexample(cex) => {
-                    // Later sweeps cannot change the verdict; cancel
-                    // and drop them so the abort is prompt at any job
-                    // count.
-                    discard_sweeps(iter.collect());
-                    return Err(EcoError::VerificationFailed {
-                        counterexample: cex,
+        std::thread::scope(|s| {
+            let running: Vec<_> = members
+                .iter()
+                .map(|sub| {
+                    let (member_obs, sink) = buffered_handle(obs.is_active());
+                    let handle = s.spawn(move || {
+                        self.solve_target(work, sub, governor, &mut TripLog::default(), &member_obs)
                     });
-                }
-            }
-        }
-        Ok(verified)
+                    (handle, sink)
+                })
+                .collect();
+            running
+                .into_iter()
+                .map(|(handle, sink)| {
+                    let step = join_worker(handle.join());
+                    replay_buffer(obs, sink);
+                    step
+                })
+                .collect()
+        })
     }
 }
 
@@ -2280,14 +1722,6 @@ impl EcoObserver for BufferObserver {
 }
 
 type BufferSink = Arc<Mutex<BufferObserver>>;
-
-/// What one batch-member solve hands back to the coordinator: the
-/// ladder verdict (`Err` in the outer layer aborts the whole run, the
-/// inner `Err` is a skip reason) plus the SAT calls spent.
-type MemberSolve = (
-    Result<Result<(NodePatch, TargetPatchReport), String>, EcoError>,
-    u64,
-);
 
 /// A worker-local observer handle plus the buffer it feeds. When the
 /// run has no observers the handle is inert and no buffer is allocated.
@@ -2318,186 +1752,355 @@ fn join_worker<T>(joined: std::thread::Result<T>) -> T {
     joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
-/// A cancellation handle for one unit of speculative work: a child of
-/// the run governor when one exists (so deadline/pool trips still
-/// reach the worker), otherwise a standalone unlimited governor that
-/// only ever trips via [`ResourceGovernor::cancel`].
-fn speculative_governor(governor: Option<&ResourceGovernor>) -> ResourceGovernor {
-    match governor {
-        Some(g) => g.child(),
-        None => ResourceGovernor::unlimited(),
+/// Runs one stage of the flow inside its phase span. A failing stage
+/// aborts the run inside its phase, so `PhaseFinished` is emitted only
+/// when the stage succeeds.
+fn in_phase<T>(
+    obs: &ObserverHandle,
+    phase: Phase,
+    stage: impl FnOnce() -> Result<T, EcoError>,
+) -> Result<T, EcoError> {
+    obs.emit(|| EcoEvent::PhaseStarted { phase });
+    let phase_t = Instant::now();
+    let out = stage()?;
+    obs.emit(|| EcoEvent::PhaseFinished {
+        phase,
+        elapsed: phase_t.elapsed(),
+    });
+    Ok(out)
+}
+
+/// One target's subproblem in the patch loop: the window it is solved
+/// in, the quantification assignments of the other open targets (all
+/// of them when `exact`), its position in the working target list, its
+/// original index, and the worker it is attributed to.
+struct Subproblem<'w> {
+    window: &'w Window,
+    assignments: Vec<Vec<bool>>,
+    exact: bool,
+    pos: usize,
+    original_index: usize,
+    worker: usize,
+}
+
+/// The head target's subproblem for a sequential step: all `2^r`
+/// assignments of the `r` other open targets up to the exactness
+/// threshold, the projected QBF certificates above it (one all-false
+/// assignment when none survive the projection).
+fn head_subproblem<'w>(
+    opts: &EcoOptions,
+    state: &PatchLoop,
+    window: &'w Window,
+    certificates: Option<&[Vec<bool>]>,
+) -> Subproblem<'w> {
+    let r = state.work.targets.len() - 1;
+    let exact = r <= opts.exact_quantification_threshold;
+    let assignments = if r == 0 {
+        Vec::new()
+    } else if exact {
+        all_assignments(r)
+    } else {
+        let projected =
+            project_certificates(certificates.unwrap_or(&[]), &state.remaining_original[1..]);
+        if projected.is_empty() {
+            vec![vec![false; r]]
+        } else {
+            projected
+        }
+    };
+    Subproblem {
+        window,
+        assignments,
+        exact,
+        pos: 0,
+        original_index: state.remaining_original[0],
+        worker: 0,
     }
 }
 
-/// Outputs per verification sweep chunk. The partition depends only on
-/// the wave's output list, never on the job count, so the SAT queries —
-/// and therefore the metric totals — are identical at every `jobs`.
-const SWEEP_CHUNK: usize = 1024;
-
-/// One incremental verification sweep: a chunk of primary outputs that
-/// no remaining target can reach, checked against the implementation
-/// snapshot taken when they became target-free (later patches cannot
-/// change them, so the verdict equals a check against the final
-/// netlist).
-struct SweepTask {
-    snapshot: Arc<Aig>,
-    outputs: Vec<usize>,
+/// What one per-target step hands to [`PatchLoop::commit`]: the ladder
+/// verdict (`Err` in the outer layer aborts the run, the inner `Err` is
+/// a skip reason) plus the SAT calls spent.
+struct TargetStep {
+    verdict: Result<Result<(NodePatch, TargetPatchReport), String>, EcoError>,
+    spent: u64,
 }
 
-/// A sweep either deferred to the verification phase (`jobs == 1`) or
-/// already running on its own thread (`jobs > 1`, concurrent with the
-/// remaining patch solves).
-enum SweepExec {
-    Deferred(SweepTask),
-    Running {
-        handle: std::thread::JoinHandle<CecResult>,
-        sink: Option<BufferSink>,
-        cancel: ResourceGovernor,
-    },
+/// What the patch loop hands to verification and to the outcome.
+struct PatchedRun {
+    implementation: Aig,
+    reports: Vec<TargetPatchReport>,
+    applied: Vec<AppliedPatch>,
+    waves: Vec<Wave>,
 }
 
-/// The pending sweeps, with abort safety: dropping the queue (e.g. on
-/// an early `return Err`) cancels and joins any still-running sweep
-/// threads instead of leaking them.
-#[derive(Default)]
-struct SweepQueue {
-    execs: Vec<SweepExec>,
+/// The patch loop's working state: the implementation with every
+/// committed patch substituted, the open targets with their original
+/// indices, each working node's identity in the original
+/// implementation, and the reports and patches recorded so far.
+struct PatchLoop {
+    work: EcoProblem,
+    remaining_original: Vec<usize>,
+    orig_of: Vec<Option<NodeId>>,
+    reports: Vec<TargetPatchReport>,
+    applied: Vec<AppliedPatch>,
 }
 
-impl SweepQueue {
-    fn take(&mut self) -> Vec<SweepExec> {
-        std::mem::take(&mut self.execs)
-    }
-}
-
-impl Drop for SweepQueue {
-    fn drop(&mut self) {
-        discard_sweeps(self.take());
-    }
-}
-
-/// Cancels and joins still-running sweeps, dropping their buffered
-/// events.
-fn discard_sweeps(sweeps: Vec<SweepExec>) {
-    for exec in sweeps {
-        if let SweepExec::Running { handle, cancel, .. } = exec {
-            cancel.cancel();
-            let _ = handle.join();
+impl PatchLoop {
+    fn new(problem: &EcoProblem) -> PatchLoop {
+        PatchLoop {
+            work: problem.clone(),
+            remaining_original: (0..problem.targets.len()).collect(),
+            orig_of: (0..problem.implementation.num_nodes())
+                .map(|i| Some(NodeId::from_index(i)))
+                .collect(),
+            reports: Vec::new(),
+            applied: Vec::new(),
         }
     }
-}
 
-/// Applies `patches` (keyed by position into `work.targets`) in one
-/// substitution and rebuilds the per-step bookkeeping: node weights,
-/// remaining targets (with their original indices), and the
-/// original-identity map. Positions in `drop_positions` leave the
-/// target list without a patch (skipped targets keep their original
-/// function). Remaining targets that die or merge under the
-/// substitution get a `TrivialDead` report, exactly as in the
-/// single-patch flow.
-fn commit_patches(
-    work: &mut EcoProblem,
-    remaining_original: &mut Vec<usize>,
-    orig_of: &mut Vec<Option<NodeId>>,
-    patches_by_pos: HashMap<usize, NodePatch>,
-    drop_positions: &HashSet<usize>,
-    reports: &mut Vec<TargetPatchReport>,
-) -> Result<(), EcoError> {
-    if patches_by_pos.is_empty() {
-        // Nothing to substitute: drop the skipped positions only.
-        let mut targets = Vec::with_capacity(work.targets.len());
-        let mut original = Vec::with_capacity(work.targets.len());
-        for (j, &t) in work.targets.iter().enumerate() {
-            if !drop_positions.contains(&j) {
-                targets.push(t);
-                original.push(remaining_original[j]);
-            }
-        }
-        work.targets = targets;
-        *remaining_original = original;
-        return Ok(());
-    }
-    let handled: HashSet<usize> = patches_by_pos
-        .keys()
-        .copied()
-        .chain(drop_positions.iter().copied())
-        .collect();
-    // Targets not patched in this step are protected from strash
-    // folding/merging so their rectification freedom survives the
-    // rebuild.
-    let protected: HashSet<NodeId> = work
-        .targets
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| !patches_by_pos.contains_key(j))
-        .map(|(_, &t)| t)
-        .collect();
-    let mut patches: HashMap<NodeId, NodePatch> = HashMap::new();
-    for (pos, patch) in patches_by_pos {
-        patches.insert(work.targets[pos], patch);
-    }
-    let sub = work
-        .implementation
-        .substitute_protected(&patches, &protected)
-        .map_err(|e| EcoError::CyclicPatch {
-            message: e.to_string(),
-        })?;
-    let mut new_weights = vec![work.default_weight; sub.aig.num_nodes()];
-    for (old, mapped) in sub.node_map.iter().enumerate() {
-        if let Some(lit) = mapped {
-            let ni = lit.node().index();
-            new_weights[ni] = new_weights[ni].min(work.weights[old]);
-        }
-    }
-    let mut new_targets: Vec<NodeId> = Vec::new();
-    let mut new_original = Vec::new();
-    for (j, &t) in work.targets.iter().enumerate() {
-        if handled.contains(&j) {
-            continue;
-        }
-        match sub.node_map[t.index()] {
-            // Structural hashing may merge two remaining targets
-            // into one node; the freedom is then a single function,
-            // so keep the first occurrence only.
-            Some(lit) if !lit.is_const() && !new_targets.contains(&lit.node()) => {
-                new_targets.push(lit.node());
-                new_original.push(remaining_original[j]);
-            }
-            _ => {
-                // Target is dead or constant: a constant-0 patch is
-                // vacuously fine.
-                reports.push(TargetPatchReport {
-                    target_index: remaining_original[j],
-                    kind: PatchKind::TrivialDead,
-                    disposition: TargetDisposition::Patched,
-                    support_size: 0,
-                    cost: 0,
-                    gates: 0,
-                    cubes: None,
-                    sat_calls: 0,
-                    prune: None,
-                });
-            }
-        }
-    }
-    // Carry original-node identity forward (strash merges keep any
-    // original identity; fresh patch logic gets None).
-    let mut new_orig: Vec<Option<NodeId>> = vec![None; sub.aig.num_nodes()];
-    for (old, mapped) in sub.node_map.iter().enumerate() {
-        if let Some(lit) = mapped {
-            if !lit.is_complement() {
-                if let Some(orig) = orig_of[old] {
-                    new_orig[lit.node().index()].get_or_insert(orig);
+    /// Commits one step's results for the targets at `positions`. Each
+    /// patch is recorded as an [`AppliedPatch`] before the substitution
+    /// remaps its support; each skipped target gets its report at once
+    /// and keeps its original function. All patches are substituted
+    /// together, and the patched targets' reports follow any
+    /// `TrivialDead` reports the substitution produced. Returns whether
+    /// a target was skipped.
+    fn commit(&mut self, positions: &[usize], steps: Vec<TargetStep>) -> Result<bool, EcoError> {
+        let mut patches_by_pos: HashMap<usize, NodePatch> = HashMap::new();
+        let mut drop_positions: HashSet<usize> = HashSet::new();
+        let mut patched_reports = Vec::new();
+        for (&pos, step) in positions.iter().zip(steps) {
+            let target_index = self.remaining_original[pos];
+            match step.verdict? {
+                Ok((patch, report)) => {
+                    self.applied.push(AppliedPatch {
+                        target_index,
+                        aig: patch.aig.clone(),
+                        support: patch.support.clone(),
+                        original_support: patch
+                            .support
+                            .iter()
+                            .map(|l| self.orig_of[l.node().index()])
+                            .collect(),
+                    });
+                    patches_by_pos.insert(pos, patch);
+                    patched_reports.push(report);
+                }
+                Err(reason) => {
+                    self.reports.push(TargetPatchReport {
+                        target_index,
+                        kind: PatchKind::Skipped,
+                        disposition: TargetDisposition::Skipped { reason },
+                        support_size: 0,
+                        cost: 0,
+                        gates: 0,
+                        cubes: None,
+                        sat_calls: step.spent,
+                        prune: None,
+                    });
+                    drop_positions.insert(pos);
                 }
             }
         }
+        self.substitute(patches_by_pos, &drop_positions)?;
+        self.reports.extend(patched_reports);
+        Ok(!drop_positions.is_empty())
     }
-    *orig_of = new_orig;
-    work.implementation = sub.aig;
-    work.weights = new_weights;
-    work.targets = new_targets;
-    *remaining_original = new_original;
-    Ok(())
+
+    /// Applies `patches_by_pos` (keyed by position into `work.targets`)
+    /// in one substitution and rebuilds the per-step bookkeeping: node
+    /// weights, open targets (with their original indices), and the
+    /// original-identity map. Positions in `drop_positions` leave the
+    /// target list without a patch. Open targets that die or merge
+    /// under the substitution get a `TrivialDead` report.
+    fn substitute(
+        &mut self,
+        patches_by_pos: HashMap<usize, NodePatch>,
+        drop_positions: &HashSet<usize>,
+    ) -> Result<(), EcoError> {
+        let work = &mut self.work;
+        if patches_by_pos.is_empty() {
+            // Nothing to substitute: drop the skipped positions only.
+            let mut targets = Vec::with_capacity(work.targets.len());
+            let mut original = Vec::with_capacity(work.targets.len());
+            for (j, &t) in work.targets.iter().enumerate() {
+                if !drop_positions.contains(&j) {
+                    targets.push(t);
+                    original.push(self.remaining_original[j]);
+                }
+            }
+            work.targets = targets;
+            self.remaining_original = original;
+            return Ok(());
+        }
+        let handled: HashSet<usize> = patches_by_pos
+            .keys()
+            .copied()
+            .chain(drop_positions.iter().copied())
+            .collect();
+        // Targets not patched in this step are protected from strash
+        // folding/merging so their rectification freedom survives the
+        // rebuild.
+        let protected: HashSet<NodeId> = work
+            .targets
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| !patches_by_pos.contains_key(j))
+            .map(|(_, &t)| t)
+            .collect();
+        let mut patches: HashMap<NodeId, NodePatch> = HashMap::new();
+        for (pos, patch) in patches_by_pos {
+            patches.insert(work.targets[pos], patch);
+        }
+        let sub = work
+            .implementation
+            .substitute_protected(&patches, &protected)
+            .map_err(|e| EcoError::CyclicPatch {
+                message: e.to_string(),
+            })?;
+        let mut new_weights = vec![work.default_weight; sub.aig.num_nodes()];
+        for (old, mapped) in sub.node_map.iter().enumerate() {
+            if let Some(lit) = mapped {
+                let ni = lit.node().index();
+                new_weights[ni] = new_weights[ni].min(work.weights[old]);
+            }
+        }
+        let mut new_targets: Vec<NodeId> = Vec::new();
+        let mut new_original = Vec::new();
+        for (j, &t) in work.targets.iter().enumerate() {
+            if handled.contains(&j) {
+                continue;
+            }
+            match sub.node_map[t.index()] {
+                // Structural hashing may merge two remaining targets
+                // into one node; the freedom is then a single function,
+                // so keep the first occurrence only.
+                Some(lit) if !lit.is_const() && !new_targets.contains(&lit.node()) => {
+                    new_targets.push(lit.node());
+                    new_original.push(self.remaining_original[j]);
+                }
+                _ => {
+                    // Target is dead or constant: a constant-0 patch is
+                    // vacuously fine.
+                    self.reports.push(TargetPatchReport {
+                        target_index: self.remaining_original[j],
+                        kind: PatchKind::TrivialDead,
+                        disposition: TargetDisposition::Patched,
+                        support_size: 0,
+                        cost: 0,
+                        gates: 0,
+                        cubes: None,
+                        sat_calls: 0,
+                        prune: None,
+                    });
+                }
+            }
+        }
+        // Carry original-node identity forward (strash merges keep any
+        // original identity; fresh patch logic gets None).
+        let mut new_orig: Vec<Option<NodeId>> = vec![None; sub.aig.num_nodes()];
+        for (old, mapped) in sub.node_map.iter().enumerate() {
+            if let Some(lit) = mapped {
+                if !lit.is_complement() {
+                    if let Some(orig) = self.orig_of[old] {
+                        new_orig[lit.node().index()].get_or_insert(orig);
+                    }
+                }
+            }
+        }
+        self.orig_of = new_orig;
+        work.implementation = sub.aig;
+        work.weights = new_weights;
+        work.targets = new_targets;
+        self.remaining_original = new_original;
+        Ok(())
+    }
+}
+
+/// Outputs per verification chunk. The partition depends only on the
+/// wave's output list, so the SAT queries — and therefore the metric
+/// totals — are identical at every `jobs`.
+const SWEEP_CHUNK: usize = 1024;
+
+/// One verification wave: primary outputs that no open target can
+/// reach, checked against the implementation snapshot taken when they
+/// became target-free (later patches cannot change them, so the
+/// verdict equals a check against the final netlist).
+struct Wave {
+    snapshot: Aig,
+    outputs: Vec<usize>,
+}
+
+/// The verification waves queued during the patch loop and checked in
+/// the verification phase.
+struct VerificationWaves {
+    waves: Vec<Wave>,
+    /// Outputs not yet handed to a wave.
+    pending: Vec<bool>,
+    /// Queueing stops as soon as a target is skipped: the netlist is
+    /// then inequivalent by construction and the run reports
+    /// `verified == false` without taking further snapshots.
+    open: bool,
+}
+
+impl VerificationWaves {
+    /// Queues wave 0 when verification is on: outputs outside the
+    /// window are target-free from the start, so they are checked
+    /// against the original implementation.
+    fn new(problem: &EcoProblem, window: &Window, verify: bool) -> VerificationWaves {
+        let num_outputs = problem.implementation.num_outputs();
+        let mut waves = VerificationWaves {
+            waves: Vec::new(),
+            pending: vec![true; num_outputs],
+            open: verify,
+        };
+        if verify {
+            let wave0: Vec<usize> = (0..num_outputs)
+                .filter(|i| window.outputs.binary_search(i).is_err())
+                .collect();
+            waves.queue(&problem.implementation, wave0);
+        }
+        waves
+    }
+
+    fn close(&mut self) {
+        self.open = false;
+    }
+
+    /// Queues the outputs no open target reaches any more: they are
+    /// final, so they are checked against the current snapshot.
+    fn queue_freed(&mut self, work: &EcoProblem) {
+        if !self.open || !self.pending.iter().any(|&p| p) {
+            return;
+        }
+        let fanouts = work.implementation.fanouts();
+        let reached = work
+            .implementation
+            .tfo_mask(work.targets.iter().copied(), &fanouts);
+        let freed: Vec<usize> = work
+            .implementation
+            .outputs()
+            .iter()
+            .enumerate()
+            .filter(|&(o, out)| self.pending[o] && !reached[out.node().index()])
+            .map(|(o, _)| o)
+            .collect();
+        self.queue(&work.implementation, freed);
+    }
+
+    fn queue(&mut self, snapshot: &Aig, outputs: Vec<usize>) {
+        if outputs.is_empty() {
+            return;
+        }
+        for &o in &outputs {
+            self.pending[o] = false;
+        }
+        self.waves.push(Wave {
+            snapshot: snapshot.clone(),
+            outputs,
+        });
+    }
 }
 
 /// Tracks which governor trips have been reported, so each sticky trip

@@ -126,7 +126,6 @@ pub use support::{
     minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
     SupportSolver,
 };
-pub use sweep::{fraig_reduce, FraigOptions, FraigOutcome, FraigStats};
 pub use window::{compute_divisors, compute_window, Window};
 
 // Resource-governance types, re-exported so engine callers need not

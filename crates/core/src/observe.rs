@@ -319,20 +319,22 @@ pub enum EcoEvent {
         elapsed: Duration,
     },
     /// Counter report of one sweep activity (schema v7): oracle
-    /// construction, swept verification, or a `fraig_reduce` run.
+    /// construction or swept verification.
     /// Aggregated into [`SweepCounters`].
     SweepReport {
         /// Target the sweep served (`None` for shared activities).
         target_index: Option<usize>,
         /// Equivalence-candidate classes examined.
         classes: u64,
-        /// Node merges proven by SAT.
+        /// Node merges proven by SAT (no engine activity merges nodes,
+        /// so always 0; kept for schema stability).
         merges: u64,
         /// SAT calls spent on sweep proofs ([`SatCallKind::Sweep`]).
         sat_calls: u64,
         /// CEGAR refinement rounds (counterexample patterns fed back).
         refinement_rounds: u64,
-        /// AIG nodes eliminated by proven merges.
+        /// AIG nodes eliminated by proven merges (always 0, like
+        /// `merges`).
         nodes_eliminated: u64,
         /// Support-feasibility queries answered by simulation alone
         /// (no solver call issued).
@@ -662,13 +664,15 @@ pub struct CacheCounters {
 pub struct SweepCounters {
     /// Equivalence-candidate classes examined across all sweeps.
     pub classes: u64,
-    /// Node merges proven by SAT.
+    /// Node merges proven by SAT (always 0: no engine activity merges
+    /// nodes; kept for schema stability).
     pub merges: u64,
     /// SAT calls spent on sweep proofs ([`SatCallKind::Sweep`]).
     pub sweep_sat_calls: u64,
     /// CEGAR refinement rounds (counterexamples fed back as patterns).
     pub refinement_rounds: u64,
-    /// AIG nodes eliminated by proven merges.
+    /// AIG nodes eliminated by proven merges (always 0, like
+    /// `merges`).
     pub nodes_eliminated: u64,
     /// Support-feasibility queries answered by simulation alone.
     pub oracle_hits: u64,

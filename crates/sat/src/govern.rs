@@ -274,22 +274,6 @@ impl ResourceGovernor {
         }
     }
 
-    /// An unlimited governor (useful as a cancellation-only handle).
-    pub fn unlimited() -> ResourceGovernor {
-        ResourceGovernor::new(GovernorLimits::default())
-    }
-
-    /// A child handle for one unit of speculative work: it shares the
-    /// parent's deadline, global pools, fault plan and call counter, but
-    /// carries its own cancellation flag. [`ResourceGovernor::cancel`]
-    /// on the child stops only solvers attached to the child, while a
-    /// parent cancellation (or deadline/budget trip) is still observed
-    /// through the chain — exactly what a racing worker needs so losers
-    /// can be cancelled without touching the winner or the run.
-    pub fn child(&self) -> ResourceGovernor {
-        self.child_with_limits(GovernorLimits::default())
-    }
-
     /// A child handle with its *own* limits layered under the parent's:
     /// its deadline clock starts now, its pools are private, and its
     /// fault plan is evaluated against the chain-wide call counter.
@@ -614,7 +598,7 @@ mod tests {
     fn panic_at_fires_on_a_child_joining_a_running_call_chain() {
         // The chain-wide counter is already past 1; a child plan with
         // `PanicAt(current + 1)` must fire on the child's next call.
-        let root = ResourceGovernor::unlimited();
+        let root = ResourceGovernor::new(GovernorLimits::default());
         let mut warm = Solver::new();
         let v = warm.new_var();
         warm.add_clause(&[v.positive()]);
@@ -642,13 +626,13 @@ mod tests {
             global_conflicts: Some(50),
             ..GovernorLimits::default()
         });
-        let child = governor.child();
+        let child = governor.child_with_limits(GovernorLimits::default());
         // Cancelling the child does not affect the parent...
         child.cancel();
         assert_eq!(child.trip(), Some(TripReason::Cancelled));
         assert_eq!(governor.trip(), None);
         // ...but the child draws from the parent's shared pool.
-        let sibling = governor.child();
+        let sibling = governor.child_with_limits(GovernorLimits::default());
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 7);
         solver.set_search_control(Some(sibling.control()));
@@ -694,7 +678,7 @@ mod tests {
 
     #[test]
     fn child_deadline_expires_without_touching_the_parent() {
-        let root = ResourceGovernor::unlimited();
+        let root = ResourceGovernor::new(GovernorLimits::default());
         let request = root.child_with_limits(GovernorLimits {
             timeout: Some(Duration::from_millis(0)),
             ..GovernorLimits::default()
@@ -707,7 +691,7 @@ mod tests {
 
     #[test]
     fn unlimited_governor_never_interferes() {
-        let governor = ResourceGovernor::unlimited();
+        let governor = ResourceGovernor::new(GovernorLimits::default());
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 5);
         solver.set_search_control(Some(governor.control()));

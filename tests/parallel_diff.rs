@@ -1,14 +1,14 @@
 //! Parallel determinism suite: the engine must produce byte-identical
-//! results at every `jobs` setting. Batching, strategy racing, and
-//! concurrent verification sweeps change *where* work runs, never
-//! *what* is computed, so the patched netlist text, the applied
-//! patches, and the per-target reports must not move between
-//! `--jobs 1` and `--jobs 4`.
+//! results at every `jobs` setting. Solving the members of an
+//! independent-target batch on worker threads changes *where* work
+//! runs, never *what* is computed, so the patched netlist text, the
+//! applied patches, the per-target reports, and the number of SAT
+//! calls must not move between `--jobs 1`, `2` and `4`.
 
 use eco_patch::benchgen::{build_unit, table1_units};
 use eco_patch::core::{
     check_equivalence, AppliedPatch, CecResult, EcoEngine, EcoOptions, EcoOutcome, EcoProblem,
-    SupportMethod,
+    GovernorLimits, ResourceGovernor, SupportMethod,
 };
 use eco_patch::netlist::Netlist;
 
@@ -92,12 +92,10 @@ fn suite_outcomes_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn racing_ladder_is_byte_identical_under_per_call_budgets() {
-    // A tight per-call budget forces the degradation ladder, so jobs=4
-    // races the reduced-effort and structural rungs against the full
-    // attempt. Under per-call budgets alone the winner is decided in
-    // ladder order, so the result must still match jobs=1 byte for
-    // byte.
+fn degradation_ladder_is_jobs_invariant_under_per_call_budgets() {
+    // A tight per-call budget forces the degradation ladder on every
+    // target. The ladder runs its rungs in order on the target's own
+    // thread, so the result must match jobs=1 byte for byte.
     for unit in table1_units(TEST_SCALE).iter().take(6) {
         let problem = build_unit(unit);
         let opts = |jobs: usize| {
@@ -132,5 +130,37 @@ fn sat_prune_suite_is_byte_identical_across_jobs() {
         let seq = run_at(&problem, opts(1), unit.name);
         let par = run_at(&problem, opts(4), unit.name);
         assert_outcomes_identical(&seq, &par, unit.name);
+    }
+}
+
+#[test]
+fn governor_sees_the_same_sat_calls_at_every_job_count() {
+    // Every SAT call of a run draws on the run's governor, which holds
+    // the global budget pool, the fault plan's call index, and the
+    // daemon's fair-share pool. Threads may only move work, never add
+    // any, so the governor must count the same calls at every `jobs`.
+    for unit in table1_units(TEST_SCALE).iter() {
+        let problem = build_unit(unit);
+        let calls = |jobs: usize| {
+            let governor = ResourceGovernor::new(GovernorLimits::default());
+            let options = EcoOptions::builder()
+                .jobs(jobs)
+                .build()
+                .expect("valid options");
+            EcoEngine::new(options)
+                .with_governor(governor.clone())
+                .solve(&problem.snapshot())
+                .unwrap_or_else(|e| panic!("{} at jobs={jobs} failed: {e}", unit.name));
+            governor.sat_calls()
+        };
+        let seq = calls(1);
+        for jobs in [2, 4] {
+            assert_eq!(
+                calls(jobs),
+                seq,
+                "{}: governor SAT calls at jobs={jobs} vs jobs=1",
+                unit.name
+            );
+        }
     }
 }
